@@ -20,7 +20,8 @@ within the merge tolerance) rather than a nearby value.
 Run:  python3 scripts/resonance_sweep.py
 """
 
-import numpy as np
+import math
+import statistics
 
 from expode import (
     EXP_MERGE_TOL,
@@ -63,8 +64,8 @@ def main():
 
     # slope of log max|coeff| vs log delta over the clean non-resonant rows
     pts = [(d, mx) for d, m, _, mx, _ in rows if m == 0 and d >= 1e-6]
-    slope = np.polyfit(np.log10([p[0] for p in pts]),
-                       np.log10([p[1] for p in pts]), 1)[0]
+    slope = statistics.linear_regression(
+        [math.log10(p[0]) for p in pts], [math.log10(p[1]) for p in pts]).slope
     print(f"\ncoefficient growth exponent over non-resonant rows: "
           f"{slope:+.3f} (m + j = 3 predicts -3)")
 

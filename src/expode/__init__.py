@@ -2,8 +2,9 @@
 
 The solver factors the characteristic polynomial, reads the homogeneous
 basis off the root multiplicities, and builds particular solutions for
-exponential-polynomial forcing by peeling one factor at a time with
-first-order inverse operators.  Every answer is checked by substitution.
+exponential-polynomial forcing one term at a time through the exponential
+shift L[e^(lam*x) p] = e^(lam*x) P(lam + D) p.  Every answer is checked by
+substitution through the same shift.
 """
 
 from .cpoly import (
@@ -23,7 +24,7 @@ from .exppoly import (
     coeff_distance,
     realify,
 )
-from .operators import FactoredOp, LinOp, apply_op, compose_check, factor_op
+from .operators import FactoredOp, LinOp, compose_check, factor_op
 from .parsing import (
     EquationAst,
     EquationError,
@@ -83,7 +84,6 @@ __all__ = [
     "UnsupportedForm",
     "VerifyReport",
     "ansatz_form",
-    "apply_op",
     "build_operator",
     "coeff_distance",
     "coefficients_match",

@@ -179,13 +179,6 @@ def coefficients_match(p: Poly, q: Poly, rel: float = COEFF_REL_TOL,
     return True
 
 
-def _horner(coeffs, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def _horner_with_bound(coeffs, z: complex) -> tuple[complex, float]:
     # Evaluation plus a running bound on its own rounding error.
     acc = coeffs[-1]
@@ -208,7 +201,7 @@ def _aberth(monic: tuple[complex, ...]) -> list[complex]:
         angle = 2.0 * math.pi * k / n + 0.4
         r = radius * (0.55 + 0.45 * (k + 1.0) / n)
         zs.append(r * complex(math.cos(angle), math.sin(angle)))
-    deriv = tuple(k * c for k, c in enumerate(monic))[1:]
+    deriv = Poly(monic).derivative()
     stalled = 0
     for _ in range(_MAX_SWEEPS):
         max_step = 0.0
@@ -218,7 +211,7 @@ def _aberth(monic: tuple[complex, ...]) -> list[complex]:
             if abs(p) <= 4.0 * bound:
                 continue
             all_on_root = False
-            dp = _horner(deriv, zs[i])
+            dp = deriv(zs[i])
             if dp == 0:
                 zs[i] += (1e-6 + 1e-6j) * (1.0 + abs(zs[i]))
                 max_step = math.inf
@@ -276,16 +269,16 @@ def _refined(monic: tuple[complex, ...], centroid: complex, mult: int,
     # A cluster of size m sits on a simple, well-conditioned root of the
     # (m-1)-th derivative, which Newton recovers at full precision even when
     # the roots of the polynomial itself are smeared by rounding.
-    q = monic
+    q = Poly(monic)
     for _ in range(mult - 1):
-        q = tuple(k * c for k, c in enumerate(q))[1:]
-    dq = tuple(k * c for k, c in enumerate(q))[1:]
+        q = q.derivative()
+    dq = q.derivative()
     z = centroid
     for _ in range(24):
-        denom = _horner(dq, z)
+        denom = dq(z)
         if denom == 0:
             break
-        step = _horner(q, z) / denom
+        step = q(z) / denom
         z -= step
         if abs(step) <= 4.0 * _EPS * (1.0 + abs(z)):
             break

@@ -47,13 +47,22 @@ class LinOp:
         return cls(tuple(reversed(normalized)))
 
     def apply(self, y: ExpPoly) -> ExpPoly:
-        derivs = [y]
-        for _ in range(self.order):
-            derivs.append(derivs[-1].derivative())
-        out = derivs[self.order]
-        for k, c in enumerate(self.coeffs, start=1):
-            out = out + derivs[self.order - k].scale(c)
-        return out
+        """L[e^(lam*x) p] = e^(lam*x) sum_k P^(k)(lam)/k! p^(k), term by term:
+        synthetic divisions of P by (z - lam) leave the Taylor coefficients
+        as remainders, and the sum over k is Horner's rule in d/dx."""
+        char, out = self.char_poly().coeffs, []
+        for lam, p in y.terms:
+            b, taylor = list(char), []
+            for _ in range(min(len(p.coeffs), len(b))):
+                for k in range(len(b) - 2, -1, -1):
+                    b[k] += lam * b[k + 1]
+                taylor.append(b.pop(0))
+            acc = [0j] * len(p.coeffs)
+            for t in reversed(taylor):
+                acc = [t * c + (i + 1) * a for i, (c, a)
+                       in enumerate(zip(p.coeffs, acc[1:] + [0j]))]
+            out.append((lam, Poly(tuple(acc))))
+        return ExpPoly(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,11 @@ class FactoredOp:
     def order(self) -> int:
         return sum(m for _, m in self.factors)
 
+    def multiplicity(self, lam: complex) -> int:
+        """Multiplicity of lam as a root within EXP_MERGE_TOL, 0 when none."""
+        return next((m for r, m in self.factors
+                     if abs(lam - r) <= EXP_MERGE_TOL), 0)
+
     def char_poly(self) -> Poly:
         return Factorization(self.factors).expand()
 
@@ -104,10 +118,6 @@ def factor_op(op: LinOp, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> FactoredOp
     """Factor an operator through the roots of its characteristic polynomial."""
     fact = find_roots(op.char_poly(), cluster_tol)
     return FactoredOp(fact.pairs)
-
-
-def apply_op(op: LinOp | FactoredOp, y: ExpPoly) -> ExpPoly:
-    return op.apply(y)
 
 
 def compose_check(first: FactoredOp, second: FactoredOp, y: ExpPoly,

@@ -123,6 +123,7 @@ _OPS = "+-*/^()=,"
 # e.g. the superscript two, so spell the accepted sets out
 _DIGITS = "0123456789"
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_MAX_POWER = 100  # largest derivative order and '^' exponent accepted
 
 
 @dataclass(frozen=True)
@@ -572,7 +573,7 @@ def lower_rhs(expr: Expr) -> ExpPoly:
             "non-constant expressions take only nonnegative integer powers",
             expr.pos)
     k = int(k)
-    if k > 100:
+    if k > _MAX_POWER:
         raise UnsupportedForm("exponent too large", expr.pos)
     out = ExpPoly.constant(1.0)
     for _ in range(k):
@@ -643,6 +644,8 @@ def build_operator(ast: EquationAst) -> tuple[LinOp, ExpPoly]:
     n = ast.lhs[0][0]
     if n == 0:
         raise UnsupportedForm("the equation must involve a derivative of y", 0)
+    if n > _MAX_POWER:
+        raise UnsupportedForm(f"derivative order {n} is above {_MAX_POWER}", 0)
     lead = dict(ast.lhs)[n]
     coeffs = [0j] * n
     try:

@@ -2,25 +2,21 @@
 
 The homogeneous basis comes straight from the factored operator: each root r
 of multiplicity m contributes x^l * e^(r*x) for l = 0..m-1.  A particular
-solution is built by walking the factor groups and inverting each one with
-repeated antidifferentiation,
-
-    g  ->  e^(r*x) * I_m[ e^(-r*x) * g ],
-
-with all integration constants dropped.  Components that already lie in the
-homogeneous span are stripped afterwards, so the result is minimal and does
-not depend on the factor order.
+solution is built one forcing term e^(lam*x) q at a time.  If lam is a root
+of multiplicity m (m = 0 off resonance), the exponential shift gives
+P(lam + D) = D^m Q(D), Q(t) being the product of (t + lam - r)^mult over the
+other roots r, so e^(lam*x) I_m[Q(D)^-1 q] solves it, where I_m integrates
+m times with every constant dropped.  No power below x^m appears, so the
+result has no part in the homogeneous span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exppoly import EXP_MERGE_TOL, ExpPoly, NotConjugateClosed
 from .cpoly import Poly, monomial
-from .operators import FactoredOp, LinOp, apply_op
+from .operators import FactoredOp, LinOp
 
 
 class SingularSystem(Exception):
@@ -108,48 +104,59 @@ def real_homogeneous_solution(factored: FactoredOp) -> HomogeneousSolution:
     return HomogeneousSolution(tuple(basis), constants)
 
 
-def _without_homogeneous_part(y: ExpPoly, factored: FactoredOp) -> ExpPoly:
-    out = []
-    for lam, p in y.terms:
-        mult = 0
-        for r, m in factored.factors:
-            if abs(lam - r) <= EXP_MERGE_TOL:
-                mult = m
-                break
-        if mult:
-            p = Poly(tuple(0j if k < mult else c for k, c in enumerate(p.coeffs)))
-        if not p.is_zero:
-            out.append((lam, p))
-    return ExpPoly(tuple(out))
-
-
 def particular_solution(factored: FactoredOp, rhs: ExpPoly) -> ExpPoly:
     """One concrete solution of L[y] = rhs, free of homogeneous admixtures.
 
-    Each rhs term is pushed through the factor groups independently; a term
-    keeps its exponent the whole way, so superposition is literal.  When the
-    term's exponent hits a root (resonance), the shifted exponent cancels to
-    zero and the plain polynomial integration raises the degree by that
-    root's multiplicity.
+    Each rhs term keeps its exponent exactly.  Q(D) w = q is solved by
+    back-substitution on the coefficients, one factor (D + lam - r) at a
+    time, so a forcing exponent near a root keeps full relative accuracy.
     """
-    total = ExpPoly.zero()
-    for lam, p in rhs.terms:
-        g = ExpPoly.term(lam, p)
-        for r, m in factored.factors:
-            g = g.shift_exponent(-r).nth_antiderivative(m).shift_exponent(r)
-        total = total + g
-    return _without_homogeneous_part(total, factored)
+    out = []
+    for lam, q in rhs.terms:
+        w = list(q.coeffs)
+        for r, mult in factored.factors:
+            # a root at lam is the D^m of P(lam + D), applied as I_m below
+            for _ in range(mult if abs(lam - r) > EXP_MERGE_TOL else 0):
+                above = 0j
+                for k in range(len(w) - 1, -1, -1):
+                    w[k] = above = (w[k] - (k + 1) * above) / (lam - r)
+        for _ in range(factored.multiplicity(lam)):
+            w = [0j] + [c / (k + 1) for k, c in enumerate(w)]
+        out.append((lam, Poly(tuple(w))))
+    return ExpPoly(tuple(out))
 
 
 def ansatz_form(factored: FactoredOp, b: complex, j: int) -> AnsatzForm:
     if j < 0:
         raise ValueError("polynomial degree must be nonnegative")
-    resonance = 0
-    for r, m in factored.factors:
-        if abs(complex(b) - r) <= EXP_MERGE_TOL:
-            resonance = m
-            break
+    resonance = factored.multiplicity(complex(b))
     return AnsatzForm(complex(b), resonance, int(j) + resonance)
+
+
+def _derivative_table(fs, x0: complex, count: int) -> list[list[complex]]:
+    """table[d][j] = fs[j]^(d)(x0) for d < count."""
+    table = []
+    for _ in range(count):
+        table.append([f(x0) for f in fs])
+        fs = [f.derivative() for f in fs]
+    return table
+
+
+def _eliminate(matrix, rhs) -> tuple[complex, list[complex]]:
+    """Determinant and solution of matrix @ x = rhs (Gauss-Jordan, partial
+    pivoting); raises SingularSystem on an exactly zero pivot."""
+    a, det = [list(row) + [b] for row, b in zip(matrix, rhs)], 1 + 0j
+    for k in range(len(a)):
+        p = max(range(k, len(a)), key=lambda i: abs(a[i][k]))
+        if a[p][k] == 0:
+            raise SingularSystem("singular matrix")
+        a[k], a[p] = a[p], a[k]
+        det *= a[k][k] if p == k else -a[k][k]
+        a[k] = [v / a[k][k] for v in a[k]]
+        for i in range(len(a)):
+            if i != k:
+                a[i] = [u - a[i][k] * v for u, v in zip(a[i], a[k])]
+    return det, [row[-1] for row in a]
 
 
 def fit_initial_conditions(solution: FullSolution,
@@ -171,30 +178,18 @@ def fit_initial_conditions(solution: FullSolution,
     if sorted(c[0] for c in conds) != list(range(n)):
         raise ValueError("derivative orders must be 0..n-1, each exactly once")
 
-    derivs: list[list[ExpPoly]] = [list(basis)]
-    part_derivs = [solution.particular]
-    for _ in range(max((c[0] for c in conds), default=0)):
-        derivs.append([f.derivative() for f in derivs[-1]])
-        part_derivs.append(part_derivs[-1].derivative())
-
-    rows = []
-    vals = []
-    for d, _, v in conds:
-        rows.append([derivs[d][j](x0) for j in range(n)])
-        vals.append(v - part_derivs[d](x0))
-    matrix = np.array(rows, dtype=complex)
-    target = np.array(vals, dtype=complex)
-    try:
-        coeff = np.linalg.solve(matrix, target)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    residual = float(np.max(np.abs(matrix @ coeff - target)))
-    if residual > 1e-9 * (1.0 + float(np.max(np.abs(target)))):
+    table = _derivative_table(tuple(basis) + (solution.particular,), x0, n)
+    matrix = [table[d][:n] for d, _, _ in conds]
+    target = [v - table[d][n] for d, _, v in conds]
+    _, coeff = _eliminate(matrix, target)
+    residual = max(abs(sum(a * c for a, c in zip(row, coeff)) - t)
+                   for row, t in zip(matrix, target))
+    if residual > 1e-9 * (1.0 + max(abs(t) for t in target)):
         raise SingularSystem(f"initial-condition solve left residual {residual:.3e}")
 
     fitted = solution.particular
     for j in range(n):
-        fitted = fitted + basis[j].scale(complex(coeff[j]))
+        fitted = fitted + basis[j].scale(coeff[j])
     return fitted
 
 
@@ -220,7 +215,7 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
     """
     if points < 2:
         raise ValueError("need at least 2 sample points")
-    residual = apply_op(op, y) - f
+    residual = op.apply(y) - f
     symbolic = residual.max_coeff() / (1.0 + f.max_coeff())
     a, b = span
     worst = 0.0
@@ -241,12 +236,11 @@ def wronskian_determinant(basis, x0: float = 0.0) -> float:
     if n == 0:
         raise ValueError("basis must be nonempty")
     rows = []
-    current = list(basis)
-    for _ in range(n):
-        row = [f(x0) for f in current]
-        top = max(abs(v) for v in row)
-        if top == 0.0:
-            return 0.0
+    for row in _derivative_table(basis, x0, n):
+        top = max(abs(v) for v in row) or 1.0  # a zero row stays singular
         rows.append([v / top for v in row])
-        current = [f.derivative() for f in current]
-    return float(abs(np.linalg.det(np.array(rows, dtype=complex))))
+    try:
+        det, _ = _eliminate(rows, [0j] * n)
+    except SingularSystem:
+        return 0.0
+    return abs(det)

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, golden reports."""
 
 import json
+import time
 
 import pytest
 
@@ -288,3 +289,11 @@ def test_usage_error_raises_system_exit():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["frobnicate", "y' = 0"])
+
+
+@pytest.mark.parametrize("equation", ["y^(2000) + y = 0", "y^(100000) = 0"])
+def test_derivative_order_above_limit_exits_2(capsys, equation):
+    start = time.perf_counter()
+    assert main(["solve", equation]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "derivative order" in capsys.readouterr().err

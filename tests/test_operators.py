@@ -9,7 +9,6 @@ from expode import (
     FactoredOp,
     LinOp,
     Poly,
-    apply_op,
     compose_check,
     factor_op,
 )

@@ -168,6 +168,12 @@ def test_build_operator_rejects_order_zero():
         compile_equation("y = x")
 
 
+def test_build_operator_caps_order_at_100():
+    assert compile_equation("y^(100) + y = 0")[0].order == 100
+    with pytest.raises(UnsupportedForm):
+        compile_equation("y^(101) + y = 0")
+
+
 def test_zero_coefficient_terms_drop_out():
     ast = parse_equation("y'' + 0*y' + y = 0")
     assert ast.lhs == ((2, 1 + 0j), (0, 1 + 0j))

@@ -17,7 +17,8 @@ from expode import (
     Poly,
     SingularSystem,
     ansatz_form,
-    apply_op,
+    compile_equation,
+    factor_op,
     fit_initial_conditions,
     homogeneous_solution,
     particular_solution,
@@ -55,7 +56,7 @@ def test_basis_annihilated():
     fac = FactoredOp(((1 + 1j, 2), (-2 + 0j, 1)))
     op = fac.to_linop()
     for b in homogeneous_solution(fac).basis:
-        assert apply_op(op, b).max_coeff() <= 1e-9
+        assert op.apply(b).max_coeff() <= 1e-9
 
 
 def test_real_basis_simple_pair():
@@ -86,7 +87,7 @@ def test_real_basis_still_annihilated():
     fac = FactoredOp(((1 + 2j, 1), (1 - 2j, 1), (-1 + 0j, 1)))
     op = fac.to_linop()
     for b in real_homogeneous_solution(fac).basis:
-        assert apply_op(op, b).max_coeff() <= 1e-9
+        assert op.apply(b).max_coeff() <= 1e-9
 
 
 # ----------------------------------------------------- particular solution
@@ -196,6 +197,16 @@ def test_particular_matches_ansatz_degrees():
         assert len(part.terms) == 1
 
 
+@pytest.mark.parametrize("equation", [
+    "y'' + 3*y' + 5*y = exp(0.1*x)*sin(3*x)",
+    "y^(4) + y = exp(i*x)",
+])
+def test_particular_keeps_forcing_exponents_exactly(equation):
+    op, rhs = compile_equation(equation)
+    part = particular_solution(factor_op(op), rhs)
+    assert [lam for lam, _ in part.terms] == [lam for lam, _ in rhs.terms]
+
+
 # -------------------------------------------------------------- fitting
 
 def test_fit_recovers_sine():
@@ -292,6 +303,17 @@ def test_wronskian_of_independent_basis():
     hom = homogeneous_solution(FactoredOp(((1 + 0j, 1), (-1 + 0j, 1),
                                            (2 + 0j, 1))))
     assert wronskian_determinant(hom.basis) > 1e-9
+
+
+def test_elimination_pivots_and_returns_determinant():
+    from expode.solve import _eliminate
+    matrix = [[0, 2, 1], [1, 1, 0], [0, 0, 3j]]  # one row swap
+    det, x = _eliminate(matrix, [1, 2, 3])
+    assert abs(det - (-6j)) < 1e-12
+    for row, b in zip(matrix, [1, 2, 3]):
+        assert abs(sum(a * c for a, c in zip(row, x)) - b) < 1e-12
+    with pytest.raises(SingularSystem):
+        _eliminate([[1, 2], [2, 4]], [1, 1])
 
 
 def test_wronskian_of_dependent_set_vanishes():
