@@ -187,8 +187,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads an argument that starts with a single '-' and is not a known
+    option as a value, so a candidate such as -exp(-x) needs no '--'."""
+
+    def _parse_optional(self, arg_string):
+        if (arg_string.startswith("-") and not arg_string.startswith("--")
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="expode",
         description="Solve linear constant-coefficient ODEs in closed form.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -521,52 +521,66 @@ def _affine_arg(f: ExpPoly, call: Call) -> tuple[complex, complex]:
     raise UnsupportedForm(f"{call.fn}() argument must be linear in x", call.pos)
 
 
-def lower_rhs(expr: Expr) -> ExpPoly:
-    """Evaluate an expression tree into the exponential-polynomial algebra.
+def _canon(terms: dict[complex, Poly]) -> ExpPoly:
+    return ExpPoly(tuple(terms.items()))
 
-    sin and cos are expanded through complex exponentials, so trigonometric
-    forcing terms and their later realification share one representation.
-    """
+
+def _accumulate(acc: dict[complex, Poly], lam: complex, p: Poly) -> None:
+    q = acc.get(lam)
+    acc[lam] = p if q is None else q + p
+
+
+def _product(a: dict[complex, Poly], b: dict[complex, Poly]
+             ) -> dict[complex, Poly]:
+    out: dict[complex, Poly] = {}
+    for la, pa in a.items():
+        for lb, pb in b.items():
+            _accumulate(out, la + lb, pa * pb)
+    return out
+
+
+def _lower(expr: Expr) -> dict[complex, Poly]:
+    """Value of expr as polynomial parts keyed by their exact exponent,
+    neither merged within EXP_MERGE_TOL nor cleaned."""
     if isinstance(expr, Num):
-        return ExpPoly.constant(expr.value)
+        return {0j: Poly((expr.value,))}
     if isinstance(expr, VarX):
-        return ExpPoly.from_poly(monomial(1))
+        return {0j: monomial(1)}
     if isinstance(expr, YTerm):
         raise UnknownOnRhs("y cannot appear in a function expression", expr.pos)
-    if isinstance(expr, Neg):
-        return -lower_rhs(expr.operand)
     if isinstance(expr, Call):
-        a, b = _affine_arg(lower_rhs(expr.arg), expr)
+        a, b = _affine_arg(_canon(_lower(expr.arg)), expr)
         if expr.fn == "exp":
-            return ExpPoly.term(a, Poly((_fold_const(cmath.exp, b, expr.pos),)))
+            return {a: Poly((_fold_const(cmath.exp, b, expr.pos),))}
         up = _fold_const(cmath.exp, 1j * b, expr.pos)
         dn = _fold_const(cmath.exp, -1j * b, expr.pos)
         if expr.fn == "sin":
-            return ExpPoly((
-                (1j * a, Poly((up / 2j,))),
-                (-1j * a, Poly((-dn / 2j,))),
-            ))
-        return ExpPoly((
-            (1j * a, Poly((up / 2.0,))),
-            (-1j * a, Poly((dn / 2.0,))),
-        ))
-    if expr.op == "+":
-        return lower_rhs(expr.left) + lower_rhs(expr.right)
-    if expr.op == "-":
-        return lower_rhs(expr.left) - lower_rhs(expr.right)
+            c_up, c_dn = up / 2j, -dn / 2j
+        else:
+            c_up, c_dn = up / 2.0, dn / 2.0
+        out = {1j * a: Poly((c_up,))}
+        _accumulate(out, -1j * a, Poly((c_dn,)))  # the same key when a is 0
+        return out
+    if isinstance(expr, Neg) or expr.op in ("+", "-"):
+        out = {}
+        for sign, term in _additive_terms(expr):
+            for lam, p in _lower(term).items():
+                _accumulate(out, lam, p if sign > 0 else -p)
+        return out
     if expr.op == "*":
-        return lower_rhs(expr.left) * lower_rhs(expr.right)
+        return _product(_lower(expr.left), _lower(expr.right))
     if expr.op == "/":
-        denom = _constant_of(lower_rhs(expr.right), expr, "divisor")
+        denom = _constant_of(_canon(_lower(expr.right)), expr, "divisor")
         if denom == 0:
             raise UnsupportedForm("division by zero", expr.pos)
-        return lower_rhs(expr.left).scale(1.0 / denom)
+        return {lam: p.scale(1.0 / denom)
+                for lam, p in _lower(expr.left).items()}
     # '^'
-    exponent = _constant_of(lower_rhs(expr.right), expr, "exponent")
-    base = lower_rhs(expr.left)
+    exponent = _constant_of(_canon(_lower(expr.right)), expr, "exponent")
+    base = _canon(_lower(expr.left))
     base_const = _try_constant(base)
     if base_const is not None:
-        return ExpPoly.constant(_cpow(base_const, exponent, expr.pos))
+        return {0j: Poly((_cpow(base_const, exponent, expr.pos),))}
     k = exponent.real
     if exponent.imag != 0 or k != int(k) or k < 0:
         raise UnsupportedForm(
@@ -575,10 +589,24 @@ def lower_rhs(expr: Expr) -> ExpPoly:
     k = int(k)
     if k > _MAX_POWER:
         raise UnsupportedForm("exponent too large", expr.pos)
-    out = ExpPoly.constant(1.0)
+    out, factor = {0j: Poly((1.0,))}, dict(base.terms)
     for _ in range(k):
-        out = out * base
+        out = _product(out, factor)
     return out
+
+
+def lower_rhs(expr: Expr) -> ExpPoly:
+    """Evaluate an expression tree into the exponential-polynomial algebra.
+
+    sin and cos are expanded through complex exponentials, so trigonometric
+    forcing terms and their later realification share one representation.
+    The tree is evaluated in one pass into polynomial parts keyed by their
+    exact exponent, and the ExpPoly constructor (merging exponents within
+    EXP_MERGE_TOL, cleaning tiny coefficients) runs once on the result, not
+    after every partial sum or product.  It also runs where a canonical
+    value is read: function arguments, divisors, and both sides of '^'.
+    """
+    return _canon(_lower(expr))
 
 
 def parse_exppoly(text: str) -> ExpPoly:

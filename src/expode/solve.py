@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exppoly import EXP_MERGE_TOL, ExpPoly, NotConjugateClosed
-from .cpoly import Poly, monomial
+from .cpoly import NonConvergence, Poly, monomial
 from .operators import FactoredOp, LinOp
 
 
@@ -212,6 +212,7 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
     The symbolic residual is the largest coefficient of L[y] - f; the
     pointwise residual samples the same difference on a uniform grid.  Both
     are scaled by the size of f, so 'verified' means small relative error.
+    Raises NonConvergence when a sampled value overflows.
     """
     if points < 2:
         raise ValueError("need at least 2 sample points")
@@ -221,7 +222,11 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
     worst = 0.0
     for k in range(points):
         x = a + (b - a) * k / (points - 1)
-        err = abs(residual(x)) / (1.0 + abs(f(x)))
+        try:
+            err = abs(residual(x)) / (1.0 + abs(f(x)))
+        except OverflowError as exc:
+            raise NonConvergence(
+                f"pointwise residual overflows at x = {x:g}") from exc
         if err > worst:
             worst = err
     return VerifyReport(symbolic, worst)

@@ -297,3 +297,45 @@ def test_derivative_order_above_limit_exits_2(capsys, equation):
     assert main(["solve", equation]) == 2
     assert time.perf_counter() - start < 2.0
     assert "derivative order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "y' + y = 0", "-exp(-x)"],
+    ["verify", "y' + y = 0", "-exp(-x)", "--json"],
+    ["verify", "y' + y = 0", "--", "-exp(-x)"],
+])
+def test_verify_candidate_may_start_with_minus(capsys, argv):
+    assert main(argv) == 0
+    assert "-exp(-x)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "y' + y = 0"],
+    ["solve", "y' + y = 0", "-q"],
+    ["solve", "y' + y = 0", "--bogus"],
+])
+def test_usage_errors_still_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "y' - y = exp(800*x)"],
+    ["verify", "y' - y = 0", "exp(1e300*x)"],
+])
+def test_pointwise_overflow_exits_3(capsys, argv):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "y' = (1e200*x)^2"],
+    ["verify", "y' = 0", "(1e200*x)^2"],
+])
+def test_overflowing_forcing_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "arithmetic does not stay finite" in capsys.readouterr().err

@@ -4,6 +4,9 @@ import cmath
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import expode.exppoly
 
 from expode import (
     EquationError,
@@ -15,6 +18,7 @@ from expode import (
     UnknownOnRhs,
     UnsupportedForm,
     build_operator,
+    coeff_distance,
     compile_equation,
     format_constant,
     lower_rhs,
@@ -276,6 +280,48 @@ def test_lowering_matches_numeric_evaluation(f):
         x = -1.0 + k / 9.5
         direct = eval_ast(ast, x)
         assert abs(lowered(x) - direct) <= 1e-9 * (1 + abs(direct))
+
+
+def test_forcing_side_is_canonicalized_once(monkeypatch):
+    # one ExpPoly per argument, exponent and base, plus the result and its
+    # scaling by the leading coefficient; not one per partial sum
+    seen = []
+    canonical = expode.exppoly._canonical
+
+    def counting(raw):
+        raw = tuple(raw)
+        seen.append(len(raw))
+        return canonical(raw)
+
+    monkeypatch.setattr(expode.exppoly, "_canonical", counting)
+    terms = 64
+    rhs = " + ".join(f"{k}*x^2*exp({k}*x)" for k in range(1, terms + 1))
+    _, f = compile_equation(f"y'' + y = {rhs}")
+    assert len(f.terms) == terms
+    assert f.term_at(64) == Poly([0, 0, 64])
+    assert sum(seen) <= 8 * terms
+
+
+@settings(max_examples=200)
+@given(f=exppolys, g=exppolys, op=st.sampled_from("+-*"))
+def test_lowering_matches_exppoly_arithmetic(f, g, op):
+    a, b = render(f), render(g)
+    whole = parse_exppoly(f"({a}) {op} ({b})")
+    fa, fb = parse_exppoly(a), parse_exppoly(b)
+    parts = {"+": fa + fb, "-": fa - fb, "*": fa * fb}[op]
+    size = (1.0 + fa.max_coeff()) * (1.0 + fb.max_coeff())
+    assert coeff_distance(whole, parts) <= 1e-12 * size
+
+
+def test_lowering_keeps_its_error_paths():
+    with pytest.raises(UnsupportedForm, match="does not stay finite"):
+        parse_exppoly("(1e200*x)^2")
+    with pytest.raises(UnsupportedForm, match="does not stay finite"):
+        parse_exppoly("exp(1e308*x)*exp(1e308*x)")
+    with pytest.raises(UnsupportedForm, match="nonnegative integer powers"):
+        parse_exppoly("x^(1/2)")
+    with pytest.raises(UnsupportedForm, match="divisor must be a constant"):
+        parse_exppoly("1/x")
 
 
 # ------------------------------------------------------------ diagnostics

@@ -26,3 +26,12 @@ def test_scripts_run():
     assert "non-resonant rows: -3.00" in sweep.stdout
     examples = _run("scripts/solve_examples.py")
     assert examples.returncode == 0, examples.stderr
+
+
+def test_report_digest_runs():
+    proc = _run("scripts/report_digest.py", "--workloads", "corpus",
+                "--seeds", "0")
+    assert proc.returncode == 0, proc.stderr
+    workload, seeds, count, digest = proc.stdout.split()
+    assert (workload, seeds, count) == ("corpus", "0", "800")
+    assert len(digest) == 64
