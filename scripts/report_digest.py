@@ -8,11 +8,10 @@ the same to every version of the command line.  Two source trees whose
 digests agree print byte-identical reports and exit codes on those inputs.
 
 Run:  python3 scripts/report_digest.py [--src DIR] [--workloads corpus,...]
-                                       [--seeds 0-14] [--each]
+                                       [--seeds 0-14]
 
 Each output line reads `workload seeds count sha256`; `count` is the
-number of reports.  --each also prints `workload seed op format sha256`
-for every report, so two runs can be compared line by line with diff.
+number of reports.
 """
 
 from __future__ import annotations
@@ -60,8 +59,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", default="corpus,high_order,rich_forcing")
     parser.add_argument("--seeds", default="0-14",
                         help="seed list such as 0-14 or 1,3,5")
-    parser.add_argument("--each", action="store_true",
-                        help="also print one digest per report")
     args = parser.parse_args(argv)
 
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
@@ -71,14 +68,10 @@ def main(argv: list[str] | None = None) -> int:
     for workload in args.workloads.split(","):
         total, count = hashlib.sha256(), 0
         for seed in _seeds(args.seeds):
-            for k, op in enumerate(generate(workload, seed)):
-                for fmt, cmd in zip(("text", "json"), _argv(op)):
-                    blob = _report(cli_main, cmd)
-                    total.update(blob)
+            for op in generate(workload, seed):
+                for cmd in _argv(op):
+                    total.update(_report(cli_main, cmd))
                     count += 1
-                    if args.each:
-                        digest = hashlib.sha256(blob).hexdigest()[:16]
-                        print(f"{workload} {seed} {k} {fmt} {digest}")
         print(f"{workload} {args.seeds} {count} {total.hexdigest()}")
     return 0
 

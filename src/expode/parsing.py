@@ -535,7 +535,9 @@ def _product(a: dict[complex, Poly], b: dict[complex, Poly]
     out: dict[complex, Poly] = {}
     for la, pa in a.items():
         for lb, pb in b.items():
-            _accumulate(out, la + lb, pa * pb)
+            p = pa * pb
+            if not p.is_zero:  # a zero part carries no exponent onward
+                _accumulate(out, la + lb, p)
     return out
 
 

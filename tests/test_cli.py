@@ -330,12 +330,3 @@ def test_pointwise_overflow_exits_3(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("argv", [
-    ["solve", "y' = (1e200*x)^2"],
-    ["verify", "y' = 0", "(1e200*x)^2"],
-])
-def test_overflowing_forcing_exits_2(capsys, argv):
-    assert main(argv) == 2
-    assert "arithmetic does not stay finite" in capsys.readouterr().err
