@@ -216,7 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          "pairs, e.g. \"1:2, -1:1\"")
     ps.add_argument("--json", action="store_true", help="machine-readable output")
     ps.add_argument("--verify-points", type=int, default=50, metavar="N",
-                    help="grid size for the pointwise residual check")
+                    help="grid size for the pointwise residual check "
+                         "(2 to 10000)")
     ps.set_defaults(func=cmd_solve)
 
     pv = sub.add_parser("verify", help="check a candidate solution")

@@ -171,8 +171,25 @@ class ExpPoly:
             f = f.antiderivative()
         return f
 
+    def values(self, xs) -> list[complex]:
+        """Values at every x in xs, one term at a time.
+
+        Each term's polynomial runs Horner's rule from 0j, as Poly.__call__
+        does, and is added in term order with an explicit +=, so each value
+        is bit for bit the term-by-term sum at that point.
+        """
+        out = [0j] * len(xs)
+        for lam, p in self.terms:
+            cs = p.coeffs[::-1]
+            for k, x in enumerate(xs):
+                acc = 0j
+                for c in cs:
+                    acc = acc * x + c
+                out[k] += cmath.exp(lam * x) * acc
+        return out
+
     def __call__(self, x: complex) -> complex:
-        return sum((cmath.exp(lam * x) * p(x) for lam, p in self.terms), 0j)
+        return self.values((x,))[0]
 
 
 def coeff_distance(f: ExpPoly, g: ExpPoly) -> float:

@@ -30,13 +30,14 @@ class LinOp:
         if any(not cmath.isfinite(c) for c in cs):
             raise ValueError("operator coefficients must be finite")
         object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "_char", Poly(tuple(reversed(cs)) + (1.0 + 0j,)))
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
 
     def char_poly(self) -> Poly:
-        return Poly(tuple(reversed(self.coeffs)) + (1.0 + 0j,))
+        return self._char
 
     @classmethod
     def from_char_poly(cls, p: Poly) -> LinOp:

@@ -607,8 +607,14 @@ def lower_rhs(expr: Expr) -> ExpPoly:
     EXP_MERGE_TOL, cleaning tiny coefficients) runs once on the result, not
     after every partial sum or product.  It also runs where a canonical
     value is read: function arguments, divisors, and both sides of '^'.
+    Arithmetic that leaves the double range raises UnsupportedForm.
     """
-    return _canon(_lower(expr))
+    try:
+        return _canon(_lower(expr))
+    except (ValueError, OverflowError) as exc:
+        # coefficient validation, e.g. products of huge constants reaching
+        # inf, or a magnitude (abs) that leaves the double range
+        raise UnsupportedForm(f"arithmetic does not stay finite: {exc}", 0) from exc
 
 
 def parse_exppoly(text: str) -> ExpPoly:
@@ -618,11 +624,6 @@ def parse_exppoly(text: str) -> ExpPoly:
     except EquationError as exc:
         _fill_source(exc, text)
         raise
-    except ValueError as exc:
-        # coefficient validation, e.g. products of huge constants reaching inf
-        err = UnsupportedForm(f"arithmetic does not stay finite: {exc}", 0)
-        err.source = text
-        raise err from exc
 
 
 def parse_constant(text: str) -> complex:
@@ -684,8 +685,9 @@ def build_operator(ast: EquationAst) -> tuple[LinOp, ExpPoly]:
                 coeffs[n - d - 1] = c / lead
         rhs = lower_rhs(ast.rhs).scale(1.0 / lead)
         return LinOp(tuple(coeffs)), rhs
-    except ValueError as exc:
-        # finiteness validation on coefficients after division by the lead
+    except (ValueError, OverflowError) as exc:
+        # finiteness validation after division by the lead, or a magnitude
+        # (abs) that leaves the double range
         raise UnsupportedForm(f"arithmetic does not stay finite: {exc}", 0) from exc
 
 

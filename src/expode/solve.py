@@ -19,6 +19,9 @@ from .cpoly import NonConvergence, Poly, monomial
 from .operators import FactoredOp, LinOp
 
 
+MAX_VERIFY_POINTS = 10_000  # the grid is held in lists
+
+
 class SingularSystem(Exception):
     """The initial-condition system has no reliable solution."""
 
@@ -165,7 +168,8 @@ def fit_initial_conditions(solution: FullSolution,
 
     Needs exactly n conditions (n = basis size), all at one point, derivative
     orders 0..n-1 each appearing once.  Raises SingularSystem when the linear
-    solve fails or leaves a residual above 1e-9.
+    solve fails or leaves a residual above 1e-9, and NonConvergence when the
+    values at the condition point overflow.
     """
     basis = solution.homogeneous.basis
     n = len(basis)
@@ -178,13 +182,18 @@ def fit_initial_conditions(solution: FullSolution,
     if sorted(c[0] for c in conds) != list(range(n)):
         raise ValueError("derivative orders must be 0..n-1, each exactly once")
 
-    table = _derivative_table(tuple(basis) + (solution.particular,), x0, n)
-    matrix = [table[d][:n] for d, _, _ in conds]
-    target = [v - table[d][n] for d, _, v in conds]
-    _, coeff = _eliminate(matrix, target)
-    residual = max(abs(sum(a * c for a, c in zip(row, coeff)) - t)
-                   for row, t in zip(matrix, target))
-    if residual > 1e-9 * (1.0 + max(abs(t) for t in target)):
+    try:
+        table = _derivative_table(tuple(basis) + (solution.particular,), x0, n)
+        matrix = [table[d][:n] for d, _, _ in conds]
+        target = [v - table[d][n] for d, _, v in conds]
+        _, coeff = _eliminate(matrix, target)
+        residual = max(abs(sum(a * c for a, c in zip(row, coeff)) - t)
+                       for row, t in zip(matrix, target))
+        bound = 1e-9 * (1.0 + max(abs(t) for t in target))
+    except OverflowError as exc:
+        raise NonConvergence(
+            f"initial-condition system overflows at x = {x0.real:g}") from exc
+    if residual > bound:
         raise SingularSystem(f"initial-condition solve left residual {residual:.3e}")
 
     fitted = solution.particular
@@ -212,23 +221,34 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
     The symbolic residual is the largest coefficient of L[y] - f; the
     pointwise residual samples the same difference on a uniform grid.  Both
     are scaled by the size of f, so 'verified' means small relative error.
-    Raises NonConvergence when a sampled value overflows.
+    The grid is evaluated term by term (ExpPoly.values), which gives the
+    same bits as evaluating it point by point.  Raises NonConvergence when a
+    sampled value overflows, naming the first grid point that does.
     """
     if points < 2:
         raise ValueError("need at least 2 sample points")
+    if points > MAX_VERIFY_POINTS:
+        raise ValueError(f"need at most {MAX_VERIFY_POINTS} sample points")
     residual = op.apply(y) - f
     symbolic = residual.max_coeff() / (1.0 + f.max_coeff())
     a, b = span
+    xs = [a + (b - a) * k / (points - 1) for k in range(points)]
     worst = 0.0
-    for k in range(points):
-        x = a + (b - a) * k / (points - 1)
-        try:
-            err = abs(residual(x)) / (1.0 + abs(f(x)))
-        except OverflowError as exc:
-            raise NonConvergence(
-                f"pointwise residual overflows at x = {x:g}") from exc
-        if err > worst:
-            worst = err
+    try:
+        for r, v in zip(residual.values(xs), f.values(xs)):
+            err = abs(r) / (1.0 + abs(v))
+            if err > worst:
+                worst = err
+    except OverflowError:
+        # the grid ran term by term; walk it point by point to name the
+        # first x that overflows
+        for x in xs:
+            try:
+                abs(residual(x)) / (1.0 + abs(f(x)))
+            except OverflowError as exc:
+                raise NonConvergence(
+                    f"pointwise residual overflows at x = {x:g}") from exc
+        raise
     return VerifyReport(symbolic, worst)
 
 

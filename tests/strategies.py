@@ -4,6 +4,7 @@ Two flavors: hypothesis strategies for property tests, and plain
 random.Random builders for the counted acceptance sweeps.
 """
 
+import cmath
 import random
 
 from hypothesis import strategies as st
@@ -47,6 +48,14 @@ def factored_ops(draw, grid=OP_GRID, max_roots=3, max_mult=3, max_order=6):
 def ep_close(f: ExpPoly, g: ExpPoly, tol: float) -> bool:
     scale = 1.0 + max(f.max_coeff(), g.max_coeff())
     return coeff_distance(f, g) <= tol * scale
+
+
+def pointwise_value(f: ExpPoly, x: complex) -> complex:
+    """f(x) point by point: each term's value, added in term order with +=."""
+    total = 0j
+    for lam, p in f.terms:
+        total += cmath.exp(lam * x) * p(x)
+    return total
 
 
 def random_poly(rng: random.Random, max_degree: int = 4) -> Poly:

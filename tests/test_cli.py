@@ -281,6 +281,8 @@ def test_verify_points_flag(capsys):
     capsys.readouterr()
     assert main(["solve", "y' - y = 0", "--verify-points", "1"]) == 2
     capsys.readouterr()
+    assert main(["verify", "y' - y = 0", "exp(x)", "--verify-points", "10001"]) == 2
+    assert "at most 10000" in capsys.readouterr().err
 
 
 def test_usage_error_raises_system_exit():
@@ -330,3 +332,30 @@ def test_pointwise_overflow_exits_3(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_pointwise_overflow_names_first_grid_point(capsys):
+    # exp(10000*x) overflows from the 28th grid point on, exp(800*x) only
+    # from the 48th; the message names the first point, not the first term
+    assert main(["verify", "y' = 0", "exp(800*x) + exp(10000*x)"]) == 3
+    assert capsys.readouterr().err == (
+        "error: pointwise residual overflows at x = 0.102041\n")
+
+
+def test_ivp_overflow_exits_3(capsys):
+    assert main(["solve", "y' - y = 0", "--ivp", "y(1000)=1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: initial-condition system overflows at x = 1000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "y' = exp((1.7e308+1.7e308i)*x) + exp(x)"],
+    ["verify", "y' = 0", "exp((1.7e308+1.7e308i)*x) + exp(x)"],
+    ["solve", "y' - y = 0", "--ivp", "y(1.7e308+1.7e308i)=1"],
+])
+def test_lowering_overflow_exits_2(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: arithmetic does not stay finite")

@@ -15,7 +15,14 @@ from expode import (
     coeff_distance,
     realify,
 )
-from strategies import GRID, complex_coeffs, ep_close, exppolys, nonzero_polys
+from strategies import (
+    GRID,
+    complex_coeffs,
+    ep_close,
+    exppolys,
+    nonzero_polys,
+    pointwise_value,
+)
 
 
 # ------------------------------------------------------- representation
@@ -90,6 +97,24 @@ def test_eval_respects_ring_ops(f, g, x):
     scale = 1 + abs(f(x)) + abs(g(x))
     assert abs((f + g)(x) - (f(x) + g(x))) <= 1e-9 * scale
     assert abs((f * g)(x) - f(x) * g(x)) <= 1e-7 * (1 + abs(f(x)) * abs(g(x)))
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=200)
+@given(f=exppolys, xs=st.lists(
+    st.one_of(st.floats(-3, 3), complex_coeffs), min_size=1, max_size=8))
+def test_values_match_pointwise_evaluation_bit_for_bit(f, xs):
+    # the sign of a zero counts, so compare the bits
+    want = [_bits(pointwise_value(f, x)) for x in xs]
+    assert [_bits(v) for v in f.values(xs)] == want
+    assert [_bits(f(x)) for x in xs] == want
+
+
+def test_values_of_zero_are_zero():
+    assert ExpPoly.zero().values([-1.0, 0.5]) == [0j, 0j]
 
 
 def test_eval_against_cmath():

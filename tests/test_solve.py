@@ -27,7 +27,7 @@ from expode import (
     verify_solution,
     wronskian_determinant,
 )
-from strategies import ep_close, exppolys, factored_ops
+from strategies import ep_close, exppolys, factored_ops, pointwise_value
 
 
 # ------------------------------------------------------ homogeneous basis
@@ -288,6 +288,15 @@ def test_verify_point_count_validation():
     op = LinOp((1 + 0j,))
     with pytest.raises(ValueError):
         verify_solution(op, ExpPoly.zero(), ExpPoly.zero(), points=1)
+
+
+@settings(max_examples=100)
+@given(fac=factored_ops(), f=exppolys, y=exppolys, points=st.integers(2, 60))
+def test_pointwise_residual_matches_point_by_point_grid(fac, f, y, points):
+    residual = fac.apply(y) - f
+    want = max(abs(pointwise_value(residual, x)) / (1.0 + abs(pointwise_value(f, x)))
+               for x in (-1.0 + 2.0 * k / (points - 1) for k in range(points)))
+    assert verify_solution(fac, f, y, points=points).pointwise == want
 
 
 def test_verify_works_with_factored_operator():
