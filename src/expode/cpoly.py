@@ -1,7 +1,10 @@
 """Complex polynomial arithmetic and multiplicity-aware root finding.
 
 Polynomials are dense tuples of complex coefficients, lowest power first.
-Root finding runs a simultaneous Ehrlich-Aberth iteration and then groups
+Root finding runs a simultaneous Ehrlich-Aberth iteration, started from the
+Newton polygon of the coefficients (Bini, Numer. Algorithms 13, 1996), so
+each group of roots of like modulus starts on a circle of about that
+modulus and an exactly zero root starts, and stays, at 0.  It then groups
 the computed roots by single-linkage clustering, so a multiple root comes
 back as one (root, multiplicity) pair instead of a scatter of simple roots.
 Every candidate grouping is certified by expanding the factors and comparing
@@ -190,17 +193,39 @@ def _horner_with_bound(coeffs, z: complex) -> tuple[complex, float]:
     return acc, bound * _EPS
 
 
+def _start_points(monic: tuple[complex, ...]) -> list[complex]:
+    # Bini's Newton-polygon start: the upper convex hull of (k, log|a_k|)
+    # has one edge per group of roots of like modulus; an edge from k0 to k1
+    # puts k1 - k0 points on the circle of radius (|a_k0|/|a_k1|)^(1/(k1-k0)).
+    # Zero coefficients have no logarithm and stay off the hull; the t
+    # lowest ones are t exact zero roots, which start (and stay) at 0.
+    n = len(monic) - 1
+    hull: list[tuple[int, float]] = []
+    for k, c in enumerate(monic):
+        if c == 0:
+            continue
+        y = math.log(abs(c))
+        while len(hull) >= 2:
+            (k0, y0), (k1, y1) = hull[-2], hull[-1]
+            if (k1 - k0) * (y - y0) < (k - k0) * (y1 - y0):
+                break  # hull[-1] lies strictly above the chord
+            hull.pop()
+        hull.append((k, y))
+    zs = [0j] * hull[0][0]
+    for (k0, y0), (k1, y1) in zip(hull, hull[1:]):
+        d = k1 - k0
+        radius = math.exp((y0 - y1) / d)
+        for j in range(d):
+            # sigma = 0.7 keeps the starts off conjugate symmetry
+            zs.append(cmath.rect(radius, 2.0 * math.pi * (j / d + k0 / n) + 0.7))
+    return zs
+
+
 def _aberth(monic: tuple[complex, ...]) -> list[complex]:
     n = len(monic) - 1
     if n == 1:
         return [-monic[0]]
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
-    zs = []
-    for k in range(n):
-        # Deliberately asymmetric start: staggered radii, offset angles.
-        angle = 2.0 * math.pi * k / n + 0.4
-        r = radius * (0.55 + 0.45 * (k + 1.0) / n)
-        zs.append(r * complex(math.cos(angle), math.sin(angle)))
+    zs = _start_points(monic)
     deriv = Poly(monic).derivative()
     stalled = 0
     for _ in range(_MAX_SWEEPS):

@@ -12,6 +12,8 @@ result has no part in the homogeneous span.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 from .exppoly import EXP_MERGE_TOL, ExpPoly, NotConjugateClosed
@@ -169,7 +171,7 @@ def fit_initial_conditions(solution: FullSolution,
     Needs exactly n conditions (n = basis size), all at one point, derivative
     orders 0..n-1 each appearing once.  Raises SingularSystem when the linear
     solve fails or leaves a residual above 1e-9, and NonConvergence when the
-    values at the condition point overflow.
+    values at the condition point overflow or the fit is not finite.
     """
     basis = solution.homogeneous.basis
     n = len(basis)
@@ -193,7 +195,10 @@ def fit_initial_conditions(solution: FullSolution,
     except OverflowError as exc:
         raise NonConvergence(
             f"initial-condition system overflows at x = {x0.real:g}") from exc
-    if residual > bound:
+    if not (all(map(cmath.isfinite, coeff)) and math.isfinite(residual)):
+        raise NonConvergence(
+            f"initial-condition fit is not finite at x = {x0.real:g}")
+    if not residual <= bound:
         raise SingularSystem(f"initial-condition solve left residual {residual:.3e}")
 
     fitted = solution.particular
@@ -222,14 +227,18 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
     pointwise residual samples the same difference on a uniform grid.  Both
     are scaled by the size of f, so 'verified' means small relative error.
     The grid is evaluated term by term (ExpPoly.values), which gives the
-    same bits as evaluating it point by point.  Raises NonConvergence when a
-    sampled value overflows, naming the first grid point that does.
+    same bits as evaluating it point by point.  Raises NonConvergence when
+    L[y] - f or a sampled value overflows, naming the first grid point that
+    does.
     """
     if points < 2:
         raise ValueError("need at least 2 sample points")
     if points > MAX_VERIFY_POINTS:
         raise ValueError(f"need at most {MAX_VERIFY_POINTS} sample points")
-    residual = op.apply(y) - f
+    try:
+        residual = op.apply(y) - f
+    except ValueError as exc:  # the only ValueError here is a non-finite value
+        raise NonConvergence("residual L[y] - f overflows") from exc
     symbolic = residual.max_coeff() / (1.0 + f.max_coeff())
     a, b = span
     xs = [a + (b - a) * k / (points - 1) for k in range(points)]

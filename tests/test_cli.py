@@ -349,6 +349,50 @@ def test_ivp_overflow_exits_3(capsys):
     assert err == "error: initial-condition system overflows at x = 1000\n"
 
 
+def test_operator_overflow_exits_3(capsys):
+    # the candidate is finite, but P(1e10) * 1e300 leaves the double range
+    # while the verifier forms L[y] - f: a numeric failure, not bad input
+    assert main(["verify", "y' = 0", "1e300*exp(1e10*x)"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: residual L[y] - f overflows\n"
+
+
+def test_nonfinite_ivp_fit_exits_3(capsys):
+    # the fit divides by a 9.9e-305 pivot; its nan residual must not pass
+    # the residual check as if it were small
+    assert main(["solve", "y'' - y = 0", "--ivp", "y(700)=1, y'(700)=0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: initial-condition fit is not finite at x = 700\n"
+
+
+GOLDEN_EXACT_ZERO_ROOT = """\
+equation: y^(4) + 1i*y''' = 1
+characteristic polynomial: i*r^3 + r^4
+roots:
+  -i  (multiplicity 1)
+  0  (multiplicity 3)
+homogeneous basis:
+  exp(-i*x)
+  1
+  x
+  x^2
+particular solution: -0.16666666666666666i*x^3
+general solution: C1*exp(-i*x) + C2 + C3*x + C4*x^2 + (-0.16666666666666666i*x^3)
+residual (symbolic): 0.000e+00
+residual (pointwise): 0.000e+00
+status: verified
+"""
+
+
+def test_trailing_zero_coefficients_give_an_exact_zero_root(capsys):
+    # r^3 divides the characteristic polynomial, so 0 is a root exactly,
+    # with no rounding dust such as -3.08e-33i
+    assert main(["solve", "y^(4) + 1i*y''' = 1"]) == 0
+    assert capsys.readouterr().out == GOLDEN_EXACT_ZERO_ROOT
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "y' = exp((1.7e308+1.7e308i)*x) + exp(x)"],
     ["verify", "y' = 0", "exp((1.7e308+1.7e308i)*x) + exp(x)"],

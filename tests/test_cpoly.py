@@ -165,6 +165,40 @@ def test_multiplicity_conservation():
     assert sorted(m for _, m in fac.pairs) == [1, 1, 2]
 
 
+def test_start_points_follow_the_newton_polygon():
+    # one start circle per group of roots of like modulus, not one circle
+    # of radius 1 + max|a_k| for all of them
+    from expode.cpoly import _start_points
+    p = Factorization(((1e-3, 1), (1.0, 1), (1e3, 1))).expand()
+    radii = sorted(abs(z) for z in _start_points(p.coeffs))
+    for r, want in zip(radii, (1e-3, 1.0, 1e3)):
+        assert want / 2 <= r <= want * 2
+
+
+@pytest.mark.parametrize("roots", [
+    [10.0 ** k for k in range(-4, 5)],
+    [float(j) for j in range(1, 13)],
+    [2.0 ** k for k in range(-10, 11)],
+], ids=["powers-of-ten", "one-to-twelve", "powers-of-two"])
+def test_wide_root_spreads_certify(roots):
+    p = Factorization(tuple((r, 1) for r in roots)).expand()
+    fac = find_roots(p)
+    assert [m for _, m in fac.pairs] == [1] * len(roots)
+    got = sorted((r for r, _ in fac.pairs), key=lambda r: r.real)
+    for g, want in zip(got, sorted(roots)):
+        assert abs(g - want) <= 1e-8 * want
+    assert coefficients_match(fac.expand(), p)
+
+
+def test_order_28_roots_of_unity_certify():
+    # y^(28) - y: well-conditioned roots that must keep certifying
+    fac = find_roots(Poly((-1,) + (0,) * 27 + (1,)))
+    assert len(fac.pairs) == 28
+    for r, m in fac.pairs:
+        assert m == 1
+        assert abs(r ** 28 - 1) <= 1e-12
+
+
 def test_rejects_constant_poly():
     with pytest.raises(ValueError):
         find_roots(Poly([3]))
