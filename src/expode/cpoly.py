@@ -38,18 +38,27 @@ class Poly:
     Trailing zero coefficients are stripped exactly (no epsilon), so the zero
     polynomial is the empty tuple and ``degree`` equals ``len(coeffs) - 1``
     for everything else.
+
+    The public constructor converts every coefficient to complex and checks
+    that it is finite.  Poly's own arithmetic (``+``, ``-``, ``*``, ``scale``,
+    negation, ``derivative``) and the solver's kernels build complex tuples
+    already, so they go through ``_trusted``, which skips the conversion but
+    keeps the finiteness check and the strip: an overflow still raises the
+    same ValueError.
     """
 
     coeffs: tuple[complex, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = tuple(complex(c) for c in self.coeffs)
-        if any(not cmath.isfinite(c) for c in cs):
-            raise ValueError("polynomial coefficients must be finite")
-        n = len(cs)
-        while n and cs[n - 1] == 0:
-            n -= 1
-        object.__setattr__(self, "coeffs", cs[:n])
+        cs = _checked(tuple(map(complex, self.coeffs)))
+        object.__setattr__(self, "coeffs", cs)
+
+    @classmethod
+    def _trusted(cls, cs: tuple[complex, ...]) -> Poly:
+        """A Poly from a tuple of complex numbers (not converted)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", _checked(cs))
+        return p
 
     @property
     def degree(self) -> int:
@@ -77,10 +86,10 @@ class Poly:
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return Poly(tuple(out))
+        return Poly._trusted(tuple(out))
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._trusted(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
@@ -92,19 +101,29 @@ class Poly:
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return Poly(tuple(out))
+        return Poly._trusted(tuple(out))
 
     def scale(self, s: complex) -> Poly:
-        return Poly(tuple(c * s for c in self.coeffs))
+        return Poly._trusted(tuple(c * s for c in self.coeffs))
 
     def derivative(self) -> Poly:
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
+        return Poly._trusted(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
 
     def __call__(self, z: complex) -> complex:
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
+
+
+def _checked(cs: tuple[complex, ...]) -> tuple[complex, ...]:
+    """cs without its trailing zeros; ValueError if one is not finite."""
+    if not all(map(cmath.isfinite, cs)):
+        raise ValueError("polynomial coefficients must be finite")
+    n = len(cs)
+    while n and cs[n - 1] == 0:
+        n -= 1
+    return cs[:n]
 
 
 def monomial(power: int, coeff: complex = 1.0) -> Poly:
@@ -182,17 +201,6 @@ def coefficients_match(p: Poly, q: Poly, rel: float = COEFF_REL_TOL,
     return True
 
 
-def _horner_with_bound(coeffs, z: complex) -> tuple[complex, float]:
-    # Evaluation plus a running bound on its own rounding error.
-    acc = coeffs[-1]
-    bound = abs(acc)
-    az = abs(z)
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-        bound = bound * az + abs(acc)
-    return acc, bound * _EPS
-
-
 def _start_points(monic: tuple[complex, ...]) -> list[complex]:
     # Bini's Newton-polygon start: the upper convex hull of (k, log|a_k|)
     # has one edge per group of roots of like modulus; an edge from k0 to k1
@@ -221,39 +229,47 @@ def _start_points(monic: tuple[complex, ...]) -> list[complex]:
     return zs
 
 
-def _aberth(monic: tuple[complex, ...]) -> list[complex]:
+def _aberth(monic: tuple[complex, ...], deriv: Poly) -> list[complex]:
     n = len(monic) - 1
     if n == 1:
         return [-monic[0]]
     zs = _start_points(monic)
-    deriv = Poly(monic).derivative()
+    # Horner's rule with a running bound on its own rounding error, and P'
+    # from 0j as Poly.__call__ runs it, over coefficients reversed once
+    top, rest, drev = monic[-1], monic[-2::-1], deriv.coeffs[::-1]
     stalled = 0
     for _ in range(_MAX_SWEEPS):
         max_step = 0.0
         all_on_root = True
         for i in range(n):
-            p, bound = _horner_with_bound(monic, zs[i])
-            if abs(p) <= 4.0 * bound:
+            z = zs[i]
+            p, bound, az = top, abs(top), abs(z)
+            for c in rest:
+                p = p * z + c
+                bound = bound * az + abs(p)
+            if abs(p) <= 4.0 * (bound * _EPS):
                 continue
             all_on_root = False
-            dp = deriv(zs[i])
+            dp = 0j
+            for c in drev:
+                dp = dp * z + c
             if dp == 0:
-                zs[i] += (1e-6 + 1e-6j) * (1.0 + abs(zs[i]))
+                zs[i] += (1e-6 + 1e-6j) * (1.0 + az)
                 max_step = math.inf
                 continue
             w = p / dp
             s = 0j
-            for j in range(n):
+            for j, zj in enumerate(zs):
                 if j == i:
                     continue
-                d = zs[i] - zs[j]
+                d = z - zj
                 if d == 0:
-                    d = complex(1e-12 * (1.0 + abs(zs[i])), 0.0)
+                    d = complex(1e-12 * (1.0 + az), 0.0)
                 s += 1.0 / d
             denom = 1.0 - w * s
             step = w if denom == 0 else w / denom
-            zs[i] -= step
-            rel_step = abs(step) / (1.0 + abs(zs[i]))
+            zs[i] = z = z - step
+            rel_step = abs(step) / (1.0 + abs(z))
             if rel_step > max_step:
                 max_step = rel_step
         if all_on_root:
@@ -289,15 +305,15 @@ def _single_linkage(points: list[complex], tol: float) -> list[list[complex]]:
     return list(groups.values())
 
 
-def _refined(monic: tuple[complex, ...], centroid: complex, mult: int,
+def _refined(derivs: list[Poly], centroid: complex, mult: int,
              cut: float) -> complex:
     # A cluster of size m sits on a simple, well-conditioned root of the
     # (m-1)-th derivative, which Newton recovers at full precision even when
-    # the roots of the polynomial itself are smeared by rounding.
-    q = Poly(monic)
-    for _ in range(mult - 1):
-        q = q.derivative()
-    dq = q.derivative()
+    # the roots of the polynomial itself are smeared by rounding.  derivs[k]
+    # is the k-th derivative of the monic input, extended here on demand.
+    while len(derivs) <= mult:
+        derivs.append(derivs[-1].derivative())
+    q, dq = derivs[mult - 1], derivs[mult]
     z = centroid
     for _ in range(24):
         denom = dq(z)
@@ -366,15 +382,25 @@ def find_roots(p: Poly, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Factorizati
     because merging them breaks the reconstruction.
 
     Raises NonConvergence when the iteration stalls short of its residual
-    target or no grouping certifies.
+    target, its arithmetic leaves the double range, or no grouping
+    certifies; ValueError only for a constant input or a negative cut.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     if cluster_tol < 0:
         raise ValueError("cluster_tol must be nonnegative")
+    try:
+        return _find_roots(p, cluster_tol)
+    except (OverflowError, ValueError) as exc:
+        raise NonConvergence(f"root finding overflows: {exc}") from exc
+
+
+def _find_roots(p: Poly, cluster_tol: float) -> Factorization:
     lead = p.coeffs[-1]
     monic = tuple(c / lead for c in p.coeffs)
-    roots = _aberth(monic)
+    derivs = [Poly._trusted(monic)]
+    derivs.append(derivs[0].derivative())
+    roots = _aberth(monic, derivs[1])
     real_input = all(c.imag == 0.0 for c in p.coeffs)
 
     cuts = [cluster_tol]
@@ -390,7 +416,7 @@ def find_roots(p: Poly, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Factorizati
         pairs = []
         for group in clusters:
             centroid = sum(group) / len(group)
-            pairs.append((_refined(monic, centroid, len(group), cut), len(group)))
+            pairs.append((_refined(derivs, centroid, len(group), cut), len(group)))
         candidates = [pairs]
         if real_input:
             candidates.insert(0, _symmetrized(pairs, cut))

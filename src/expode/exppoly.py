@@ -6,6 +6,13 @@ the solver needs: forcing terms, homogeneous bases and particular solutions
 all live here.  Terms are kept canonical (sorted by exponent, exponents
 merged within EXP_MERGE_TOL, relatively tiny coefficients dropped), so
 resonance detection reduces to an exponent landing on zero after a shift.
+
+The constructor checks and converts every exponent, sorts and merges.  A
+result whose exponents are those of a canonical input, in the same order
+(negation, scale, derivative, antiderivative, LinOp.apply and the particular
+solution), is built by ExpPoly._trusted, which only cleans the polynomial
+parts: canonical exponents are sorted and pairwise farther apart than
+EXP_MERGE_TOL, so sorting and merging them again would change nothing.
 """
 
 from __future__ import annotations
@@ -25,11 +32,15 @@ class NotConjugateClosed(Exception):
 
 
 def _cleaned(p: Poly) -> Poly:
-    top = p.max_abs()
+    mags = list(map(abs, p.coeffs))
+    top = max(mags, default=0.0)
     if top == 0.0:
         return Poly()
     floor = COEFF_CLEAN_REL * top
-    return Poly(tuple(0j if abs(c) <= floor else c for c in p.coeffs))
+    if min(mags) > floor:
+        return p  # nothing to drop, not even a zero whose sign could change
+    return Poly._trusted(tuple(0j if m <= floor else c
+                               for c, m in zip(p.coeffs, mags)))
 
 
 def _canonical(raw) -> tuple[tuple[complex, Poly], ...]:
@@ -43,25 +54,35 @@ def _canonical(raw) -> tuple[tuple[complex, Poly], ...]:
         if not p.is_zero:
             entries.append((lam, p))
     entries.sort(key=lambda t: (t[0].real, t[0].imag))
+    # Each entry joins the nearest slot within EXP_MERGE_TOL, the earliest
+    # on a tie.  Slots are created in sorted order, so scanning them
+    # backwards the real gap only grows, and |gap| >= its real part: past a
+    # real gap above the tolerance no slot can be within it.
     merged: list[list] = []
     for lam, p in entries:
         slot = None
         best = math.inf
-        for cand in merged:
-            d = abs(cand[0] - lam)
-            if d <= EXP_MERGE_TOL and d < best:
+        for cand in reversed(merged):
+            d = lam - cand[0]
+            if d.real > EXP_MERGE_TOL:
+                break
+            d = abs(d)
+            if d <= EXP_MERGE_TOL and d <= best:
                 slot, best = cand, d
         if slot is None:
             merged.append([lam, p])
         else:
             slot[1] = slot[1] + p
-    final = []
-    for lam, p in merged:
+    return _kept(merged)
+
+
+def _kept(terms) -> tuple[tuple[complex, Poly], ...]:
+    out = []
+    for lam, p in terms:
         p = _cleaned(p)
         if not p.is_zero:
-            final.append((lam, p))
-    final.sort(key=lambda t: (t[0].real, t[0].imag))
-    return tuple(final)
+            out.append((lam, p))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -72,6 +93,14 @@ class ExpPoly:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", _canonical(self.terms))
+
+    @classmethod
+    def _trusted(cls, terms) -> ExpPoly:
+        """An ExpPoly from (exponent, Poly) pairs whose exponents are already
+        canonical, in order: only the polynomial parts are cleaned."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "terms", _kept(terms))
+        return f
 
     @classmethod
     def zero(cls) -> ExpPoly:
@@ -109,7 +138,7 @@ class ExpPoly:
         return ExpPoly(self.terms + other.terms)
 
     def __neg__(self) -> ExpPoly:
-        return ExpPoly(tuple((lam, -p) for lam, p in self.terms))
+        return ExpPoly._trusted((lam, -p) for lam, p in self.terms)
 
     def __sub__(self, other: ExpPoly) -> ExpPoly:
         return self + (-other)
@@ -118,7 +147,7 @@ class ExpPoly:
         c = complex(c)
         if c == 0:
             return ExpPoly.zero()
-        return ExpPoly(tuple((lam, p.scale(c)) for lam, p in self.terms))
+        return ExpPoly._trusted((lam, p.scale(c)) for lam, p in self.terms)
 
     def __mul__(self, other: ExpPoly) -> ExpPoly:
         out = []
@@ -136,7 +165,7 @@ class ExpPoly:
         out = []
         for lam, p in self.terms:
             out.append((lam, p.scale(lam) + p.derivative()))
-        return ExpPoly(tuple(out))
+        return ExpPoly._trusted(out)
 
     def antiderivative(self) -> ExpPoly:
         """One antiderivative with every integration constant set to zero.
@@ -154,14 +183,14 @@ class ExpPoly:
         for lam, p in self.terms:
             if abs(lam) <= EXP_MERGE_TOL:
                 shifted = (0j,) + tuple(c / (k + 1) for k, c in enumerate(p.coeffs))
-                out.append((lam, Poly(shifted)))
+                out.append((lam, Poly._trusted(shifted)))
             else:
                 q = [0j] * len(p.coeffs)
                 q[-1] = p.coeffs[-1] / lam
                 for k in range(len(p.coeffs) - 2, -1, -1):
                     q[k] = (p.coeffs[k] - (k + 1) * q[k + 1]) / lam
-                out.append((lam, Poly(tuple(q))))
-        return ExpPoly(tuple(out))
+                out.append((lam, Poly._trusted(tuple(q))))
+        return ExpPoly._trusted(out)
 
     def nth_antiderivative(self, m: int) -> ExpPoly:
         if m < 1:

@@ -62,8 +62,8 @@ class LinOp:
             for t in reversed(taylor):
                 acc = [t * c + (i + 1) * a for i, (c, a)
                        in enumerate(zip(p.coeffs, acc[1:] + [0j]))]
-            out.append((lam, Poly(tuple(acc))))
-        return ExpPoly(tuple(out))
+            out.append((lam, Poly._trusted(tuple(acc))))
+        return ExpPoly._trusted(out)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass, field
 
 from .cpoly import Poly, monomial
@@ -118,74 +119,49 @@ class EquationAst:
 # ---------------------------------------------------------------- tokens
 
 _FUNCTIONS = ("exp", "sin", "cos")
-_OPS = "+-*/^()=,"
-# ASCII only: str.isdigit()/isalpha() accept characters float() rejects,
-# e.g. the superscript two, so spell the accepted sets out
-_DIGITS = "0123456789"
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _MAX_POWER = 100  # largest derivative order and '^' exponent accepted
+# One alternative per token kind, after optional whitespace (\s is
+# str.isspace).  Digits and letters are ASCII only: str.isdigit() and
+# isalpha() accept characters float() rejects, e.g. the superscript two.  An
+# 'i' right after a number makes it imaginary unless a name, a digit, '.' or
+# '_' follows.  Anything else that is not whitespace is an error.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<num>(?P<real>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+            (?P<imag>i(?![A-Za-z0-9._]))?)
+  | (?P<name>[A-Za-z]+)
+  | (?P<op>[-+*/^()=,])
+  | (?P<prime>')
+  | (?P<bad>\S))""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # 'num', 'name', 'prime', one of _OPS, 'end'
-    text: str
-    pos: int
-    value: complex = 0j
+    __slots__ = ("kind", "text", "pos", "value")
+
+    def __init__(self, kind: str, text: str, pos: int, value: complex = 0j):
+        self.kind = kind  # 'num', 'name', 'prime', one of '+-*/^()=,', 'end'
+        self.text = text
+        self.pos = pos
+        self.value = value
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            toks.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch == "'":
-            toks.append(_Token("prime", ch, i))
-            i += 1
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j] in _DIGITS:
-                    i = j
-                    while i < n and text[i] in _DIGITS:
-                        i += 1
-            val = float(text[start:i])
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup  # the outermost group that matched
+        tok, pos = m[kind], m.start(kind)
+        if kind == "num":
+            val = float(m["real"])
             if not math.isfinite(val):
-                raise ParseError("number literal out of range", start,
+                raise ParseError("number literal out of range", pos,
                                  ("number",), text)
-            if i < n and text[i] == "i" and (
-                    i + 1 >= n or text[i + 1] not in _LETTERS + _DIGITS + "._"):
-                i += 1
-                toks.append(_Token("num", text[start:i], start, complex(0.0, val)))
-            else:
-                toks.append(_Token("num", text[start:i], start, complex(val, 0.0)))
-            continue
-        if ch in _LETTERS:
-            start = i
-            while i < n and text[i] in _LETTERS:
-                i += 1
-            toks.append(_Token("name", text[start:i], start))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i,
-                         ("number", "name", "operator"), text)
-    toks.append(_Token("end", "", n))
+            value = complex(0.0, val) if m["imag"] else complex(val, 0.0)
+            toks.append(_Token(kind, tok, pos, value))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", pos,
+                             ("number", "name", "operator"), text)
+        else:
+            toks.append(_Token(tok if kind == "op" else kind, tok, pos))
+    toks.append(_Token("end", "", len(text)))
     return toks
 
 
@@ -198,6 +174,8 @@ class _Parser:
         self.k = 0
 
     def peek(self, offset: int = 0) -> _Token:
+        if not offset:  # k never passes the 'end' token
+            return self.toks[self.k]
         return self.toks[min(self.k + offset, len(self.toks) - 1)]
 
     def advance(self) -> _Token:

@@ -127,8 +127,8 @@ def particular_solution(factored: FactoredOp, rhs: ExpPoly) -> ExpPoly:
                     w[k] = above = (w[k] - (k + 1) * above) / (lam - r)
         for _ in range(factored.multiplicity(lam)):
             w = [0j] + [c / (k + 1) for k, c in enumerate(w)]
-        out.append((lam, Poly(tuple(w))))
-    return ExpPoly(tuple(out))
+        out.append((lam, Poly._trusted(tuple(w))))
+    return ExpPoly._trusted(out)
 
 
 def ansatz_form(factored: FactoredOp, b: complex, j: int) -> AnsatzForm:

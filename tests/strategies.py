@@ -5,11 +5,13 @@ random.Random builders for the counted acceptance sweeps.
 """
 
 import cmath
+import math
 import random
 
 from hypothesis import strategies as st
 
-from expode import ExpPoly, FactoredOp, Poly, coeff_distance
+from expode import EXP_MERGE_TOL, ExpPoly, FactoredOp, Poly, coeff_distance
+from expode.exppoly import COEFF_CLEAN_REL
 
 # exponent grid for function-space properties
 GRID = (0j, 1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j, 1j, -1j, 1 + 1j, 1 - 1j)
@@ -56,6 +58,41 @@ def pointwise_value(f: ExpPoly, x: complex) -> complex:
     for lam, p in f.terms:
         total += cmath.exp(lam * x) * p(x)
     return total
+
+
+def canonical_reference(raw) -> tuple:
+    """ExpPoly's canonical terms as the quadratic slot search computes them:
+    each entry, in (re, im) order, joins the nearest earlier slot within
+    EXP_MERGE_TOL (the first such slot on a tie), every merged part is
+    rebuilt with its dust zeroed, and the result is sorted again."""
+    entries = []
+    for lam, p in raw:
+        lam = complex(lam)
+        if not isinstance(p, Poly):
+            p = Poly(tuple(p))
+        if not p.is_zero:
+            entries.append((lam, p))
+    entries.sort(key=lambda t: (t[0].real, t[0].imag))
+    merged = []
+    for lam, p in entries:
+        slot, best = None, math.inf
+        for cand in merged:
+            d = abs(cand[0] - lam)
+            if d <= EXP_MERGE_TOL and d < best:
+                slot, best = cand, d
+        if slot is None:
+            merged.append([lam, p])
+        else:
+            slot[1] = slot[1] + p
+    final = []
+    for lam, p in merged:
+        top = p.max_abs()
+        floor = COEFF_CLEAN_REL * top
+        p = Poly(tuple(0j if abs(c) <= floor else c for c in p.coeffs))
+        if not p.is_zero:
+            final.append((lam, p))
+    final.sort(key=lambda t: (t[0].real, t[0].imag))
+    return tuple(final)
 
 
 def random_poly(rng: random.Random, max_degree: int = 4) -> Poly:

@@ -403,3 +403,18 @@ def test_lowering_overflow_exits_2(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: arithmetic does not stay finite")
+
+
+@pytest.mark.parametrize("equation", [
+    # P' = 3r^2 + 2e308*r + ... overflows while the roots are sought
+    "y''' + 1e308*y'' + 1e-308*y' + 1e-308*y = 0",
+    # |a_0| leaves the double range in the Aberth starting points
+    "y'' + 1e-308*y' + (1.7e308+1.7e308i)*y = 0",
+    # the root's modulus leaves the double range in its refinement
+    "y' + (1.7e308+1.7e308i)*y = 1",
+])
+def test_root_finder_overflow_exits_3(capsys, equation):
+    assert main(["solve", equation]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -11,6 +11,7 @@ from expode import (
     NonConvergence,
     Poly,
     coefficients_match,
+    compile_equation,
     find_roots,
     monomial,
 )
@@ -72,6 +73,13 @@ def test_scale():
 def test_rejects_nonfinite():
     with pytest.raises(ValueError):
         Poly([1, float("inf")])
+    # arithmetic that overflows raises the same error as the constructor
+    big = Poly([1e308, 1e308])
+    overflows = [lambda: big + big, lambda: big * big,
+                 lambda: big.scale(10.0), lambda: Poly([0, 0, 1e308]).derivative()]
+    for make in overflows:
+        with pytest.raises(ValueError, match="polynomial coefficients must be finite"):
+            make()
 
 
 @given(p=polys, q=polys, x=complex_coeffs)
@@ -289,3 +297,92 @@ def test_horner_matches_cmath_on_exponential_series():
     coeffs = [1 / math.factorial(k) for k in range(12)]
     p = Poly(coeffs)
     assert abs(p(0.5) - cmath.exp(0.5)) < 1e-9
+
+
+# find_roots on four inputs, pinned bit for bit: (real part, imaginary part,
+# multiplicity) of every pair in float.hex, as the Aberth sweep and the
+# cluster refinement produce them
+FIND_ROOTS_PINS = {
+    "prod_1_12": (
+        ("0x1.000000000000ap+0", "0x0.0p+0", 1),
+        ("0x1.ffffffffffa1dp+0", "0x0.0p+0", 1),
+        ("0x1.800000000120cp+1", "0x0.0p+0", 1),
+        ("0x1.0000000000fccp+2", "0x0.0p+0", 1),
+        ("0x1.3ffffffffaa8ap+2", "0x0.0p+0", 1),
+        ("0x1.7fffffff64fd6p+2", "0x0.0p+0", 1),
+        ("0x1.c0000000f5069p+2", "0x0.0p+0", 1),
+        ("0x1.fffffffde2ed8p+2", "0x0.0p+0", 1),
+        ("0x1.20000002fb113p+3", "0x0.0p+0", 1),
+        ("0x1.3fffffffec964p+3", "0x0.0p+0", 1),
+        ("0x1.60000002d7625p+3", "0x0.0p+0", 1),
+        ("0x1.800000001ff9cp+3", "0x0.0p+0", 1),
+    ),
+    "r20_minus_1": (
+        ("-0x1.0000000000000p+0", "0x0.0p+0", 1),
+        ("-0x1.e6f0e134454ffp-1", "-0x1.3c6ef372fe950p-2", 1),
+        ("-0x1.e6f0e134454ffp-1", "0x1.3c6ef372fe950p-2", 1),
+        ("-0x1.9e3779b97f4a8p-1", "-0x1.2cf2304755a5ep-1", 1),
+        ("-0x1.9e3779b97f4a8p-1", "0x1.2cf2304755a5ep-1", 1),
+        ("-0x1.2cf2304755a5ep-1", "-0x1.9e3779b97f4a8p-1", 1),
+        ("-0x1.2cf2304755a5ep-1", "0x1.9e3779b97f4a8p-1", 1),
+        ("-0x1.3c6ef372fe94fp-2", "-0x1.e6f0e134454ffp-1", 1),
+        ("-0x1.3c6ef372fe94fp-2", "0x1.e6f0e134454ffp-1", 1),
+        ("0x0.0p+0", "-0x1.0000000000000p+0", 1),
+        ("0x0.0p+0", "0x1.0000000000000p+0", 1),
+        ("0x1.3c6ef372fe950p-2", "-0x1.e6f0e134454ffp-1", 1),
+        ("0x1.3c6ef372fe950p-2", "0x1.e6f0e134454ffp-1", 1),
+        ("0x1.2cf2304755a5ep-1", "-0x1.9e3779b97f4a8p-1", 1),
+        ("0x1.2cf2304755a5ep-1", "0x1.9e3779b97f4a8p-1", 1),
+        ("0x1.9e3779b97f4a8p-1", "-0x1.2cf2304755a5ep-1", 1),
+        ("0x1.9e3779b97f4a8p-1", "0x1.2cf2304755a5ep-1", 1),
+        ("0x1.e6f0e134454ffp-1", "-0x1.3c6ef372fe950p-2", 1),
+        ("0x1.e6f0e134454ffp-1", "0x1.3c6ef372fe950p-2", 1),
+        ("0x1.0000000000000p+0", "0x0.0p+0", 1),
+    ),
+    "mult_3_2": (
+        ("-0x1.0000000000000p+1", "0x0.0p+0", 2),
+        ("0x1.8000000000000p+0", "0x0.0p+0", 3),
+    ),
+    "complex_013": (
+        ("-0x1.8000000000000p-1", "-0x1.8000000000000p-1", 2),
+        ("0x1.fffffffffffffp-3", "0x1.fffffffffffffp-2", 1),
+        ("0x1.0000000000000p-2", "0x1.0000000000000p+0", 1),
+        ("0x1.0000000000001p-2", "-0x1.6ca34e78d79c4p-56", 2),
+        ("0x1.8000000000000p-1", "-0x1.fffffffffffffp-2", 1),
+        ("0x1.0000000000000p+0", "0x1.0000000000000p-2", 1),
+    ),
+}
+
+_OP_013 = ("y^(8) + (-1.25+0.25i)*y^(7) + (0.625-1.6875i)*y^(6) "
+           "+ (-0.28125+2.71875i)*y^(5) + (-0.53515625-1.9296875i)*y^(4) "
+           "+ (1.3662109375+0.5908203125i)*y^(3) "
+           "+ (-1.0947265625-0.370849609375i)*y'' "
+           "+ (0.328125+0.151611328125i)*y' "
+           "+ (-0.032684326171875-0.0186767578125i)*y = 0")
+
+
+def _pinned_input(name):
+    if name == "prod_1_12":  # prod (r - j), j = 1..12
+        return Factorization(tuple((complex(j), 1) for j in range(1, 13))).expand()
+    if name == "r20_minus_1":
+        return Poly((-1,) + (0,) * 19 + (1,))
+    if name == "mult_3_2":  # (r - 1.5)^3 (r + 2)^2
+        return Factorization(((1.5, 3), (-2.0, 2))).expand()
+    return compile_equation(_OP_013)[0].char_poly()  # high_order seed 1, op 13
+
+
+@pytest.mark.parametrize("name", sorted(FIND_ROOTS_PINS))
+def test_find_roots_bits_are_pinned(name):
+    fact = find_roots(_pinned_input(name))
+    got = tuple((r.real.hex(), r.imag.hex(), m) for r, m in fact.pairs)
+    assert got == FIND_ROOTS_PINS[name]
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1e-308, 1e-308, 1e308, 1.0),                # P' has 2 * 1e308
+    (1.7e308 + 1.7e308j, 1e-308, 1.0),           # |a_0| in the start points
+    (1.7e308 + 1.7e308j, 1.0),                   # |root| in the refinement
+])
+def test_overflow_inside_root_finding_is_nonconvergence(coeffs):
+    with pytest.raises(NonConvergence, match="root finding overflows"):
+        find_roots(Poly(coeffs))

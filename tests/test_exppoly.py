@@ -15,8 +15,10 @@ from expode import (
     coeff_distance,
     realify,
 )
+from expode.exppoly import _canonical
 from strategies import (
     GRID,
+    canonical_reference,
     complex_coeffs,
     ep_close,
     exppolys,
@@ -68,6 +70,36 @@ def test_equality_is_canonical():
     a = ExpPoly.term(1 + 0j, Poly([1])) + ExpPoly.term(2 + 0j, Poly([1]))
     b = ExpPoly.term(2 + 0j, Poly([1])) + ExpPoly.term(1 + 0j, Poly([1]))
     assert a == b
+
+
+# exponents on a grid of step 0.35e-9..1.46e-9 (a multiple of 2^-34, so
+# differences are exact and equal distances really tie): chains of entries
+# within EXP_MERGE_TOL of each other and of two slots at once
+_merge_steps = st.integers(6, 25).map(lambda k: k * 2.0 ** -34)
+_dust = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-13, -3e-14, 1e-300])
+_parts = st.lists(st.builds(complex, _dust | st.floats(-3, 3), _dust),
+                  min_size=1, max_size=4)
+
+
+@st.composite
+def merge_chains(draw):
+    base = draw(st.sampled_from([0j, 1 + 0j, -0.5 + 2j]))
+    h = draw(_merge_steps)
+    grid = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    return [(base + complex(a * h, b * h), draw(_parts))
+            for a, b in draw(st.lists(grid, min_size=1, max_size=8))]
+
+
+def _hex_terms(terms):
+    return [((lam.real.hex(), lam.imag.hex()),
+             [(c.real.hex(), c.imag.hex()) for c in p.coeffs])
+            for lam, p in terms]
+
+
+@settings(max_examples=300)
+@given(raw=merge_chains())
+def test_merge_scan_matches_quadratic_search(raw):
+    assert _hex_terms(_canonical(raw)) == _hex_terms(canonical_reference(raw))
 
 
 # ------------------------------------------------------------- algebra

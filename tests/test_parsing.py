@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expode.exppoly
+import expode.parsing
 
 from expode import (
     EquationError,
@@ -367,6 +368,43 @@ def test_malformed_inputs_raise_structured_errors():
             parse_equation(text)
         if isinstance(exc.value, ParseError):
             assert isinstance(exc.value.pos, int)
+
+
+TOKEN_TABLE = [
+    # text, [(kind, text, pos, value), ...] without the end token
+    ("1.e5i", [("num", "1.e5i", 0, 1e5j)]),
+    (".5", [("num", ".5", 0, 0.5 + 0j)]),
+    ("5.", [("num", "5.", 0, 5 + 0j)]),
+    ("1e", [("num", "1", 0, 1 + 0j), ("name", "e", 1, 0j)]),
+    ("1e+", [("num", "1", 0, 1 + 0j), ("name", "e", 1, 0j), ("+", "+", 2, 0j)]),
+    ("3ix", [("num", "3", 0, 3 + 0j), ("name", "ix", 1, 0j)]),
+    ("2i*x", [("num", "2i", 0, 2j), ("*", "*", 2, 0j), ("name", "x", 3, 0j)]),
+    ("1.2.3", [("num", "1.2", 0, 1.2 + 0j), ("num", ".3", 3, 0.3 + 0j)]),
+    ("x\t+\x1c2", [("name", "x", 0, 0j), ("+", "+", 2, 0j),
+                   ("num", "2", 4, 2 + 0j)]),
+]
+
+TOKEN_ERRORS = [
+    # text, message, position; an 'i' before '.' stays a name
+    ("1i.", "unexpected character '.'", 2),
+    ("1e400", "number literal out of range", 0),
+    ("y\u00b2", "unexpected character '\u00b2'", 1),      # superscript two
+    ("\u0663", "unexpected character '\u0663'", 0),       # Arabic-Indic three
+]
+
+
+@pytest.mark.parametrize("text, tokens", TOKEN_TABLE)
+def test_tokenizer_table(text, tokens):
+    toks = expode.parsing._tokenize(text)
+    assert [(t.kind, t.text, t.pos, t.value) for t in toks[:-1]] == tokens
+    assert (toks[-1].kind, toks[-1].pos) == ("end", len(text))
+
+
+@pytest.mark.parametrize("text, message, pos", TOKEN_ERRORS)
+def test_tokenizer_errors(text, message, pos):
+    with pytest.raises(ParseError) as exc:
+        expode.parsing._tokenize(text)
+    assert (str(exc.value), exc.value.pos) == (message, pos)
 
 
 # ---------------------------------------------------- initial conditions
