@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 DEFAULT_CLUSTER_TOL = 1e-6
 COEFF_REL_TOL = 1e-8
@@ -31,8 +30,38 @@ class NonConvergence(Exception):
     """Raised when no certified factorization of the input can be produced."""
 
 
-@dataclass(frozen=True)
-class Poly:
+class Record:
+    """Frozen record whose fields are its ``__init__`` parameters, in order:
+    ``==`` and ``hash`` use the tuple of field values, ``repr`` names them,
+    and setting or deleting an attribute raises AttributeError.  ``__init__``
+    stores the fields with ``object.__setattr__`` or ``self.__dict__.update``."""
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Poly(Record):
     """Univariate polynomial over complex doubles; ``coeffs[k]`` multiplies x^k.
 
     Trailing zero coefficients are stripped exactly (no epsilon), so the zero
@@ -47,11 +76,8 @@ class Poly:
     same ValueError.
     """
 
-    coeffs: tuple[complex, ...] = ()
-
-    def __post_init__(self) -> None:
-        cs = _checked(tuple(map(complex, self.coeffs)))
-        object.__setattr__(self, "coeffs", cs)
+    def __init__(self, coeffs: tuple[complex, ...] = ()):
+        object.__setattr__(self, "coeffs", _checked(tuple(map(complex, coeffs))))
 
     @classmethod
     def _trusted(cls, cs: tuple[complex, ...]) -> Poly:
@@ -133,34 +159,28 @@ def monomial(power: int, coeff: complex = 1.0) -> Poly:
     return Poly((0j,) * power + (complex(coeff),))
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Roots with multiplicities plus a leading scale factor.
 
     ``expand()`` rebuilds ``leading * prod (x - root)**mult``.  Pairs are kept
     sorted by (re, im) and roots must be pairwise distinct.
     """
 
-    pairs: tuple[tuple[complex, int], ...]
-    leading: complex = 1.0 + 0j
-
-    def __post_init__(self) -> None:
-        pairs = tuple((complex(r), int(m)) for r, m in self.pairs)
+    def __init__(self, pairs: tuple[tuple[complex, int], ...],
+                 leading: complex = 1.0 + 0j):
+        pairs = tuple((complex(r), int(m)) for r, m in pairs)
         for r, m in pairs:
             if not cmath.isfinite(r):
                 raise ValueError("roots must be finite")
             if m < 1:
                 raise ValueError("multiplicities must be >= 1")
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                if pairs[i][0] == pairs[j][0]:
-                    raise ValueError("roots must be pairwise distinct")
-        lead = complex(self.leading)
+        if len({r for r, _ in pairs}) < len(pairs):
+            raise ValueError("roots must be pairwise distinct")
+        lead = complex(leading)
         if lead == 0 or not cmath.isfinite(lead):
             raise ValueError("leading coefficient must be finite and nonzero")
         ordered = tuple(sorted(pairs, key=lambda rm: (rm[0].real, rm[0].imag)))
-        object.__setattr__(self, "pairs", ordered)
-        object.__setattr__(self, "leading", lead)
+        self.__dict__.update(pairs=ordered, leading=lead)
 
     @property
     def degree(self) -> int:

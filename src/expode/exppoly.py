@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .cpoly import Poly
+from .cpoly import Poly, Record
 
 EXP_MERGE_TOL = 1e-9     # exponents closer than this are the same term
 COEFF_CLEAN_REL = 1e-12  # coefficients tiny relative to their own term get dropped
@@ -85,14 +84,11 @@ def _kept(terms) -> tuple[tuple[complex, Poly], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ExpPoly:
+class ExpPoly(Record):
     """Sum of e^(lambda*x) * p(x) terms in canonical form."""
 
-    terms: tuple[tuple[complex, Poly], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _canonical(self.terms))
+    def __init__(self, terms: tuple[tuple[complex, Poly], ...] = ()):
+        object.__setattr__(self, "terms", _canonical(terms))
 
     @classmethod
     def _trusted(cls, terms) -> ExpPoly:
@@ -234,8 +230,7 @@ def _real_poly(p: Poly, take) -> Poly:
     return Poly(tuple(complex(take(c), 0.0) for c in p.coeffs))
 
 
-@dataclass(frozen=True)
-class TrigForm:
+class TrigForm(Record):
     """Real rendering of a conjugate-closed ExpPoly.
 
     Each entry is (alpha, beta, cos_part, sin_part) standing for
@@ -244,7 +239,8 @@ class TrigForm:
     beta == 0 and an empty sin_part.
     """
 
-    entries: tuple[tuple[float, float, Poly, Poly], ...] = ()
+    def __init__(self, entries: tuple[tuple[float, float, Poly, Poly], ...] = ()):
+        object.__setattr__(self, "entries", entries)
 
     def __call__(self, x: float) -> float:
         total = 0.0

@@ -11,26 +11,22 @@ groups commute, which the solver leans on.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
-from .cpoly import DEFAULT_CLUSTER_TOL, Factorization, Poly, find_roots
+from .cpoly import DEFAULT_CLUSTER_TOL, Factorization, Poly, Record, find_roots
 from .exppoly import EXP_MERGE_TOL, ExpPoly, coeff_distance
 
 
-@dataclass(frozen=True)
-class LinOp:
+class LinOp(Record):
     """Coefficients p1..pn of the monic operator, highest derivative first."""
 
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        cs = tuple(complex(c) for c in self.coeffs)
+    def __init__(self, coeffs: tuple[complex, ...]):
+        cs = tuple(complex(c) for c in coeffs)
         if not cs:
             raise ValueError("operator order must be >= 1")
         if any(not cmath.isfinite(c) for c in cs):
             raise ValueError("operator coefficients must be finite")
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "_char", Poly(tuple(reversed(cs)) + (1.0 + 0j,)))
+        self.__dict__.update(
+            coeffs=cs, _char=Poly(tuple(reversed(cs)) + (1.0 + 0j,)))
 
     @property
     def order(self) -> int:
@@ -66,8 +62,7 @@ class LinOp:
         return ExpPoly._trusted(out)
 
 
-@dataclass(frozen=True)
-class FactoredOp:
+class FactoredOp(Record):
     """Product of (d/dx - root)^mult groups, applied left to right.
 
     Unlike Factorization, the given factor order is preserved: the result of
@@ -75,10 +70,8 @@ class FactoredOp:
     that, so the order must survive construction.
     """
 
-    factors: tuple[tuple[complex, int], ...]
-
-    def __post_init__(self) -> None:
-        pairs = tuple((complex(r), int(m)) for r, m in self.factors)
+    def __init__(self, factors: tuple[tuple[complex, int], ...]):
+        pairs = tuple((complex(r), int(m)) for r, m in factors)
         if not pairs:
             raise ValueError("operator order must be >= 1")
         for r, m in pairs:

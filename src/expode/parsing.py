@@ -25,9 +25,8 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, field
 
-from .cpoly import Poly, monomial
+from .cpoly import Poly, Record, monomial
 from .exppoly import EXP_MERGE_TOL, ExpPoly, TrigForm
 from .exppoly import realify as _to_trig
 from .operators import LinOp
@@ -65,55 +64,46 @@ class UnsupportedForm(EquationError):
 
 # ---------------------------------------------------------------- AST
 
-@dataclass(frozen=True)
-class Num:
-    value: complex
-    pos: int = -1
+class Num(Record):
+    def __init__(self, value: complex, pos: int = -1):
+        self.__dict__.update(value=value, pos=pos)
 
 
-@dataclass(frozen=True)
-class VarX:
-    pos: int = -1
+class VarX(Record):
+    def __init__(self, pos: int = -1):
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class YTerm:
-    order: int
-    pos: int = -1
+class YTerm(Record):
+    def __init__(self, order: int, pos: int = -1):
+        self.__dict__.update(order=order, pos=pos)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-    pos: int = -1
+class Neg(Record):
+    def __init__(self, operand: Expr, pos: int = -1):
+        self.__dict__.update(operand=operand, pos=pos)
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Expr"
-    pos: int = -1
+class Call(Record):
+    def __init__(self, fn: str, arg: Expr, pos: int = -1):
+        self.__dict__.update(fn=fn, arg=arg, pos=pos)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: "Expr"
-    right: "Expr"
-    pos: int = -1
+class Bin(Record):
+    def __init__(self, op: str, left: Expr, right: Expr, pos: int = -1):
+        self.__dict__.update(op=op, left=left, right=right, pos=pos)
 
 
 Expr = Num | VarX | YTerm | Neg | Call | Bin
 
 
-@dataclass(frozen=True)
-class EquationAst:
+class EquationAst(Record):
     """Left side as (derivative order, coefficient) pairs, highest order
     first; right side as an unlowered expression tree."""
 
-    lhs: tuple[tuple[int, complex], ...]
-    rhs: Expr
-    text: str = ""
+    def __init__(self, lhs: tuple[tuple[int, complex], ...], rhs: Expr,
+                 text: str = ""):
+        self.__dict__.update(lhs=lhs, rhs=rhs, text=text)
 
 
 # ---------------------------------------------------------------- tokens
@@ -308,6 +298,8 @@ def parse_equation(text: str) -> EquationAst:
             raise ParseError("unexpected trailing input", tok.pos,
                              ("end of input",), text)
         const, lin = _lin_value(lhs_expr)
+        if not cmath.isfinite(const):  # e.g. 0*inf from 1e308*10*y
+            raise UnsupportedForm(_LHS_OVERFLOW, getattr(lhs_expr, "pos", 0))
         if const != 0:
             raise UnsupportedForm("every left-hand side term must contain y",
                                   getattr(lhs_expr, "pos", 0))
@@ -340,6 +332,7 @@ def parse_expression(text: str) -> Expr:
 # ------------------------------------------------- lhs linear extraction
 
 _FOLD = {"exp": cmath.exp, "sin": cmath.sin, "cos": cmath.cos}
+_LHS_OVERFLOW = "arithmetic does not stay finite on the left-hand side"
 
 
 def _cpow(base: complex, k: complex, pos: int) -> complex:
@@ -655,6 +648,8 @@ def build_operator(ast: EquationAst) -> tuple[LinOp, ExpPoly]:
         raise UnsupportedForm("the equation must involve a derivative of y", 0)
     if n > _MAX_POWER:
         raise UnsupportedForm(f"derivative order {n} is above {_MAX_POWER}", 0)
+    if not all(cmath.isfinite(c) for _, c in ast.lhs):
+        raise UnsupportedForm(_LHS_OVERFLOW, 0)
     lead = dict(ast.lhs)[n]
     coeffs = [0j] * n
     try:

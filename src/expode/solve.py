@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .exppoly import EXP_MERGE_TOL, ExpPoly, NotConjugateClosed
-from .cpoly import NonConvergence, Poly, monomial
+from .cpoly import NonConvergence, Poly, Record, monomial
 from .operators import FactoredOp, LinOp
 
 
@@ -28,22 +27,19 @@ class SingularSystem(Exception):
     """The initial-condition system has no reliable solution."""
 
 
-@dataclass(frozen=True)
-class HomogeneousSolution:
+class HomogeneousSolution(Record):
     """Basis of the kernel of L plus display labels for the free constants."""
 
-    basis: tuple[ExpPoly, ...]
-    constants: tuple[str, ...]
+    def __init__(self, basis: tuple[ExpPoly, ...], constants: tuple[str, ...]):
+        self.__dict__.update(basis=basis, constants=constants)
 
 
-@dataclass(frozen=True)
-class FullSolution:
-    homogeneous: HomogeneousSolution
-    particular: ExpPoly
+class FullSolution(Record):
+    def __init__(self, homogeneous: HomogeneousSolution, particular: ExpPoly):
+        self.__dict__.update(homogeneous=homogeneous, particular=particular)
 
 
-@dataclass(frozen=True)
-class AnsatzForm:
+class AnsatzForm(Record):
     """Predicted shape of the particular solution for f = e^(b*x) * x^j.
 
     resonance_order is the multiplicity of b as a root of the operator (zero
@@ -52,9 +48,9 @@ class AnsatzForm:
     absent, so it reads e^(b*x) * x^resonance_order * S(x), deg S = j.
     """
 
-    exponent: complex
-    resonance_order: int
-    degree: int
+    def __init__(self, exponent: complex, resonance_order: int, degree: int):
+        self.__dict__.update(exponent=exponent, resonance_order=resonance_order,
+                             degree=degree)
 
 
 def _sorted_factors(factored: FactoredOp) -> list[tuple[complex, int]]:
@@ -207,12 +203,11 @@ def fit_initial_conditions(solution: FullSolution,
     return fitted
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     """Back-substitution residuals, both normalized against the forcing term."""
 
-    symbolic: float
-    pointwise: float
+    def __init__(self, symbolic: float, pointwise: float):
+        self.__dict__.update(symbolic=symbolic, pointwise=pointwise)
 
     def within(self, tol: float = 1e-8) -> bool:
         return self.symbolic <= tol and self.pointwise <= tol

@@ -405,6 +405,24 @@ def test_lowering_overflow_exits_2(capsys, argv):
     assert err.startswith("error: arithmetic does not stay finite")
 
 
+@pytest.mark.parametrize("argv", [
+    # the leading coefficient folds to inf; dividing it away left y' = 0
+    ["solve", "y'*1e308*1e308 = 1"],
+    ["verify", "y'*1e308*1e308 = 1", "0"],
+    # the folded constants 0*inf and inf - inf are nan, not a y-free term
+    ["solve", "1e308*10*y'' + y = 1"],
+    ["solve", "y'' + (1e308*10 - 1e308*10)*y = 1"],
+    # a y term moved over from the right side
+    ["solve", "y' = y''*1e308*1e308 + 1"],
+])
+def test_nonfinite_lhs_coefficient_exits_2(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: arithmetic does not stay finite")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("equation", [
     # P' = 3r^2 + 2e308*r + ... overflows while the roots are sought
     "y''' + 1e308*y'' + 1e-308*y' + 1e-308*y = 0",

@@ -10,6 +10,7 @@ import expode.exppoly
 import expode.parsing
 
 from expode import (
+    EquationAst,
     EquationError,
     ExpPoly,
     LinOp,
@@ -177,6 +178,16 @@ def test_build_operator_caps_order_at_100():
     assert compile_equation("y^(100) + y = 0")[0].order == 100
     with pytest.raises(UnsupportedForm):
         compile_equation("y^(101) + y = 0")
+
+
+@pytest.mark.parametrize("lhs", [
+    ((1, complex("inf")),),
+    ((2, 1 + 0j), (0, complex("nan"))),
+    ((1, 1 + 0j), (0, complex(0.0, float("-inf")))),
+])
+def test_build_operator_rejects_nonfinite_coefficients(lhs):
+    with pytest.raises(UnsupportedForm, match="arithmetic does not stay finite"):
+        build_operator(EquationAst(lhs, Num(1 + 0j)))
 
 
 def test_zero_coefficient_terms_drop_out():

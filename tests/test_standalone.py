@@ -21,6 +21,17 @@ def test_import_loads_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_loads_no_dataclasses():
+    # the records are plain classes: a cold `expode solve` pays for none of
+    # the modules dataclasses pulls in
+    proc = _run("-c", "import sys; before = set(sys.modules); "
+                "import expode, expode.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} "
+                "& (set(sys.modules) - before)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_scripts_run():
     sweep = _run("scripts/resonance_sweep.py")
     assert sweep.returncode == 0, sweep.stderr
