@@ -8,8 +8,15 @@ Verify candidates follow a `--`, so a candidate that starts with '-' reads
 the same to every version of the command line.  Two source trees whose
 digests agree print byte-identical reports and exit codes on those inputs.
 
+With --front-end the reports are the front end's values instead, one per
+operation: the repr of `parse_equation` and `compile_equation` of the
+equation, of `parse_exppoly` of a verify candidate and of
+`parse_initial_conditions` of the --ivp text.  A call that raises gives the
+exception's class, message and position in place of its repr, and the
+operation's "exit code" lists, per call, "ok" or the exception's class.
+
 Run:  python3 scripts/report_digest.py [--src DIR] [--workloads corpus,...]
-                                       [--seeds 0-14]
+                                       [--seeds 0-14] [--front-end]
       python3 scripts/report_digest.py --src OLD --src NEW [...]
 
 With one --src (default: this checkout's src/), each output line reads
@@ -58,7 +65,26 @@ def _report(main, argv: list[str]) -> tuple[object, bytes]:
     return code, f"{code}\n{out.getvalue()}\0{err.getvalue()}\0".encode()
 
 
-def _reports(src: str, workload: str, seeds: list[int]):
+def _front_end(parsing, op) -> tuple[str, bytes]:
+    calls = [(parsing.parse_equation, op.equation),
+             (parsing.compile_equation, op.equation)]
+    if op.kind == "verify":
+        calls.append((parsing.parse_exppoly, op.candidate))
+    if op.ivp:
+        calls.append((parsing.parse_initial_conditions, op.ivp_text))
+    codes, values = [], []
+    for fn, text in calls:
+        try:
+            value = repr(fn(text))
+            codes.append("ok")
+        except Exception as exc:  # the failure is the value hashed
+            value = f"{type(exc).__name__}: {exc} @ {getattr(exc, 'pos', None)}"
+            codes.append(type(exc).__name__)
+        values.append(value)
+    return ",".join(codes), "\0".join(values).encode()
+
+
+def _reports(src: str, workload: str, seeds: list[int], front_end: bool):
     """Yield (seed, op name, exit code, report bytes) for every report that
     the expode package under src prints for the workload, in a fixed order."""
     from workloads import generate
@@ -68,10 +94,14 @@ def _reports(src: str, workload: str, seeds: list[int]):
     path = str(Path(src).resolve())
     sys.path.insert(0, path)
     try:
+        from expode import parsing
         from expode.cli import main
 
         for seed in seeds:
             for op in generate(workload, seed):
+                if front_end:
+                    yield (seed, op.name, *_front_end(parsing, op))
+                    continue
                 for cmd in _argv(op):
                     yield (seed, op.name, *_report(main, cmd))
     finally:
@@ -79,12 +109,12 @@ def _reports(src: str, workload: str, seeds: list[int]):
 
 
 def _compare(old: str, new: str, workload: str, seeds: list[int],
-             label: str) -> None:
+             label: str, front_end: bool) -> None:
     before = [(code, hashlib.sha256(text).digest())
-              for _, _, code, text in _reports(old, workload, seeds)]
+              for _, _, code, text in _reports(old, workload, seeds, front_end)]
     changed, exits, moved = 0, 0, {}
     for (seed, name, code, text), (old_code, old_hash) in zip(
-            _reports(new, workload, seeds), before, strict=True):
+            _reports(new, workload, seeds, front_end), before, strict=True):
         changed += hashlib.sha256(text).digest() != old_hash
         if code != old_code:
             exits += 1
@@ -102,6 +132,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", default="corpus,high_order,rich_forcing")
     parser.add_argument("--seeds", default="0-14",
                         help="seed list such as 0-14 or 1,3,5")
+    parser.add_argument("--front-end", action="store_true",
+                        help="hash the front end's values instead of the "
+                             "command's reports")
     args = parser.parse_args(argv)
     srcs = args.src or [str(ROOT / "src")]
     if len(srcs) > 2:
@@ -111,10 +144,10 @@ def main(argv: list[str] | None = None) -> int:
     seeds = _seeds(args.seeds)
     for workload in args.workloads.split(","):
         if len(srcs) == 2:
-            _compare(*srcs, workload, seeds, args.seeds)
+            _compare(*srcs, workload, seeds, args.seeds, args.front_end)
             continue
         total, count = hashlib.sha256(), 0
-        for _, _, _, text in _reports(srcs[0], workload, seeds):
+        for _, _, _, text in _reports(srcs[0], workload, seeds, args.front_end):
             total.update(text)
             count += 1
         print(f"{workload} {args.seeds} {count} {total.hexdigest()}")

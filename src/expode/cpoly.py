@@ -123,6 +123,10 @@ class Poly(Record):
     def __mul__(self, other: Poly) -> Poly:
         if self.is_zero or other.is_zero:
             return Poly()
+        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+            # the one pass the double loop below makes, 0j + a*b per slot
+            return Poly._trusted(tuple([0j + a * b for a in self.coeffs
+                                        for b in other.coeffs]))
         out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -348,18 +352,19 @@ def _refined(derivs: list[Poly], centroid: complex, mult: int,
     return z
 
 
-def _symmetrized(pairs: list[tuple[complex, int]],
-                 cut: float) -> list[tuple[complex, int]]:
+def _symmetrized(pairs: list[tuple[complex, int]], cut: float,
+                 snap_real: bool) -> list[tuple[complex, int]]:
     # Only called for real-coefficient input, whose true root set is closed
-    # under conjugation: snap rounding dust off the axes, then replace each
-    # near-conjugate pair by an exact one.
+    # under conjugation: snap rounding dust off the real axis (and, with
+    # snap_real, off the imaginary axis), then replace each near-conjugate
+    # pair by an exact one.
     snapped = []
     for z, m in pairs:
         re, im = z.real, z.imag
         s = 1.0 + abs(z)
         if abs(im) <= 1e-10 * s:
             im = 0.0
-        if abs(re) <= 1e-10 * s:
+        if snap_real and abs(re) <= 1e-10 * s:
             re = 0.0
         snapped.append((complex(re, im), m))
     out: list[tuple[complex, int]] = []
@@ -439,8 +444,11 @@ def _find_roots(p: Poly, cluster_tol: float) -> Factorization:
             pairs.append((_refined(derivs, centroid, len(group), cut), len(group)))
         candidates = [pairs]
         if real_input:
-            candidates.insert(0, _symmetrized(pairs, cut))
+            # a tiny real part snapped to 0 can miss where one kept certifies
+            candidates = (_symmetrized(pairs, cut, snap) for snap in (True, False))
         for cand in candidates:
+            if real_input and set(cand) != {(z.conjugate(), m) for z, m in cand}:
+                continue  # a real polynomial's roots are conjugate-closed
             try:
                 fact = Factorization(tuple(cand), lead)
             except ValueError:

@@ -27,7 +27,7 @@ import math
 import re
 
 from .cpoly import Poly, Record, monomial
-from .exppoly import EXP_MERGE_TOL, ExpPoly, TrigForm
+from .exppoly import EXP_MERGE_TOL, ExpPoly, TrigForm, _kept
 from .exppoly import realify as _to_trig
 from .operators import LinOp
 
@@ -110,48 +110,45 @@ class EquationAst(Record):
 
 _FUNCTIONS = ("exp", "sin", "cos")
 _MAX_POWER = 100  # largest derivative order and '^' exponent accepted
-# One alternative per token kind, after optional whitespace (\s is
-# str.isspace).  Digits and letters are ASCII only: str.isdigit() and
-# isalpha() accept characters float() rejects, e.g. the superscript two.  An
-# 'i' right after a number makes it imaginary unless a name, a digit, '.' or
-# '_' follows.  Anything else that is not whitespace is an error.
-_TOKEN = re.compile(r"""\s*(?:
-    (?P<num>(?P<real>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
-            (?P<imag>i(?![A-Za-z0-9._]))?)
-  | (?P<name>[A-Za-z]+)
-  | (?P<op>[-+*/^()=,])
-  | (?P<prime>')
-  | (?P<bad>\S))""", re.VERBOSE)
+# Parentheses, unary signs and '^' nest at most this deep, well within the
+# interpreter's recursion limit; '+', '-', '*' and '/' chains are walked in
+# loops, at any length.
+_MAX_NESTING = 100
+# Whitespace (\s is str.isspace), then a number, a name or operator, or any
+# other character, which is an error.  Digits and letters are ASCII only:
+# str.isdigit() and isalpha() accept characters float() rejects, e.g. the
+# superscript two.  An 'i' right after a number makes it imaginary unless a
+# name, a digit, '.' or '_' follows.  Matches are contiguous from 0.
+_TOKEN = re.compile(r"""(\s*)(?:
+    ((?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?:i(?![A-Za-z0-9._]))?)
+  | ([A-Za-z]+|[-+*/^()=,'])
+  | (\S))""", re.VERBOSE)
+_KINDS = {c: c for c in "+-*/^()=,"} | {"'": "prime"}
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos", "value")
-
-    def __init__(self, kind: str, text: str, pos: int, value: complex = 0j):
-        self.kind = kind  # 'num', 'name', 'prime', one of '+-*/^()=,', 'end'
-        self.text = text
-        self.pos = pos
-        self.value = value
-
-
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup  # the outermost group that matched
-        tok, pos = m[kind], m.start(kind)
-        if kind == "num":
-            val = float(m["real"])
+def _tokenize(text: str) -> list[tuple[str, str, int, complex]]:
+    """(kind, text, pos, value) tuples, the last of kind 'end'.  A kind is
+    'num', 'name', 'prime' or one of '+-*/^()=,'; value is 0j but for 'num'."""
+    toks = []
+    pos = 0
+    for space, num, word, bad in _TOKEN.findall(text):
+        pos += len(space)
+        if num:
+            imag = num[-1] == "i"
+            val = float(num[:-1] if imag else num)
             if not math.isfinite(val):
                 raise ParseError("number literal out of range", pos,
                                  ("number",), text)
-            value = complex(0.0, val) if m["imag"] else complex(val, 0.0)
-            toks.append(_Token(kind, tok, pos, value))
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {tok!r}", pos,
-                             ("number", "name", "operator"), text)
+            toks.append(("num", num, pos,
+                         complex(0.0, val) if imag else complex(val, 0.0)))
+            pos += len(num)
+        elif word:
+            toks.append((_KINDS.get(word, "name"), word, pos, 0j))
+            pos += len(word)
         else:
-            toks.append(_Token(tok if kind == "op" else kind, tok, pos))
-    toks.append(_Token("end", "", len(text)))
+            raise ParseError(f"unexpected character {bad!r}", pos,
+                             ("number", "name", "operator"), text)
+    toks.append(("end", "", len(text), 0j))
     return toks
 
 
@@ -161,117 +158,120 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
-        self.k = 0
+        self.k = 0  # the next token; never moves past the 'end' token
+        self.depth = 0  # nesting levels open
 
-    def peek(self, offset: int = 0) -> _Token:
-        if not offset:  # k never passes the 'end' token
-            return self.toks[self.k]
-        return self.toks[min(self.k + offset, len(self.toks) - 1)]
-
-    def advance(self) -> _Token:
+    def expect(self, kind: str, what: str) -> tuple:
         tok = self.toks[self.k]
-        if tok.kind != "end":
-            self.k += 1
+        if tok[0] != kind:
+            raise ParseError(f"expected {what}", tok[2], (what,), self.text)
+        self.k += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.pos, (what,), self.text)
-        return self.advance()
+    def nest(self, pos: int) -> None:
+        if self.depth == _MAX_NESTING:
+            raise ParseError("expression nests too deeply", pos, (), self.text)
+        self.depth += 1
 
     def expr(self) -> Expr:
         node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            node = Bin(op.kind, node, self.term(), op.pos)
-        tok = self.peek()
-        if tok.kind in ("num", "name", "("):
+        tok = self.toks[self.k]
+        while tok[0] == "+" or tok[0] == "-":
+            self.k += 1
+            node = Bin(tok[0], node, self.term(), tok[2])
+            tok = self.toks[self.k]
+        if tok[0] in ("num", "name", "("):
             raise ParseError("missing '*' (implicit multiplication is not allowed)",
-                             tok.pos, ("'*'", "'+'", "'-'"), self.text)
-        if tok.kind == "prime":
-            raise ParseError("' may only follow y", tok.pos, ("'*'",), self.text)
+                             tok[2], ("'*'", "'+'", "'-'"), self.text)
+        if tok[0] == "prime":
+            raise ParseError("' may only follow y", tok[2], ("'*'",), self.text)
         return node
 
     def term(self) -> Expr:
         node = self.factor()
         while True:
-            tok = self.peek()
-            if tok.kind in ("*", "/"):
-                self.advance()
-                node = Bin(tok.kind, node, self.factor(), tok.pos)
-            elif tok.kind == "name" and self.toks[self.k - 1].kind == "num":
+            tok = self.toks[self.k]
+            if tok[0] == "*" or tok[0] == "/":
+                self.k += 1
+                node = Bin(tok[0], node, self.factor(), tok[2])
+            elif tok[0] == "name" and self.toks[self.k - 1][0] == "num":
                 # coefficient juxtaposition: 2x, 2y', 3exp(x); multiplies
                 # at '*' precedence, so 2x^2 reads 2*(x^2)
-                node = Bin("*", node, self.power(), tok.pos)
+                node = Bin("*", node, self.power(), tok[2])
             else:
                 return node
 
     def factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "+":
-            self.advance()
-            return self.factor()
-        if tok.kind == "-":
-            self.advance()
-            return Neg(self.factor(), tok.pos)
-        return self.power()
+        kind, _, pos, _ = self.toks[self.k]
+        if kind != "+" and kind != "-":
+            return self.power()
+        self.k += 1
+        self.nest(pos)
+        node = self.factor()
+        self.depth -= 1
+        return node if kind == "+" else Neg(node, pos)
 
     def power(self) -> Expr:
         base = self.atom()
-        if self.peek().kind == "^":
-            op = self.advance()
-            return Bin("^", base, self.factor(), op.pos)
-        return base
+        kind, _, pos, _ = self.toks[self.k]
+        if kind != "^":
+            return base
+        self.k += 1
+        self.nest(pos)
+        node = Bin("^", base, self.factor(), pos)
+        self.depth -= 1
+        return node
+
+    def group(self, pos: int) -> Expr:
+        """The expression after the '(' at pos, and its ')'."""
+        self.nest(pos)
+        node = self.expr()
+        self.expect(")", "')'")
+        self.depth -= 1
+        return node
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Num(tok.value, tok.pos)
-        if tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")", "')'")
-            return node
-        if tok.kind == "name":
-            if tok.text == "y":
-                self.advance()
-                return YTerm(self.y_suffix(), tok.pos)
-            self.advance()
-            if tok.text == "x":
-                return VarX(tok.pos)
-            if tok.text == "i":
-                return Num(1j, tok.pos)
-            if tok.text in _FUNCTIONS:
-                self.expect("(", "'('")
-                arg = self.expr()
-                self.expect(")", "')'")
-                return Call(tok.text, arg, tok.pos)
-            raise ParseError(f"unknown name {tok.text!r}", tok.pos,
+        kind, name, pos, value = self.toks[self.k]
+        if kind == "num":
+            self.k += 1
+            return Num(value, pos)
+        if kind == "(":
+            self.k += 1
+            return self.group(pos)
+        if kind == "name":
+            self.k += 1
+            if name == "y":
+                return YTerm(self.y_suffix(), pos)
+            if name == "x":
+                return VarX(pos)
+            if name == "i":
+                return Num(1j, pos)
+            if name in _FUNCTIONS:
+                return Call(name, self.group(self.expect("(", "'('")[2]), pos)
+            raise ParseError(f"unknown name {name!r}", pos,
                              ("'x'", "'y'", "'i'", "'exp'", "'sin'", "'cos'"),
                              self.text)
-        raise ParseError("expected a value", tok.pos,
+        raise ParseError("expected a value", pos,
                          ("number", "'x'", "'y'", "'i'", "'exp'", "'sin'",
                           "'cos'", "'('"), self.text)
 
     def y_suffix(self) -> int:
         """Derivative order right after a 'y': primes or '^(k)'."""
-        order = 0
-        if self.peek().kind == "prime":
-            while self.peek().kind == "prime":
-                self.advance()
-                order += 1
-            return order
-        if (self.peek().kind == "^" and self.peek(1).kind == "("
-                and self.peek(2).kind == "num" and self.peek(3).kind == ")"):
-            num = self.peek(2)
-            v = num.value
+        toks, start = self.toks, self.k
+        k = start
+        while toks[k][0] == "prime":
+            k += 1
+        if k > start:
+            self.k = k
+            return k - start
+        # a kind other than 'end' is never the last token
+        if (toks[k][0] == "^" and toks[k + 1][0] == "("
+                and toks[k + 2][0] == "num" and toks[k + 3][0] == ")"):
+            _, _, pos, v = toks[k + 2]
             if v.imag != 0 or v.real != int(v.real) or v.real < 0:
                 raise ParseError("derivative order must be a nonnegative integer",
-                                 num.pos, ("integer",), self.text)
-            for _ in range(4):
-                self.advance()
+                                 pos, ("integer",), self.text)
+            self.k = k + 4
             return int(v.real)
         return 0
 
@@ -293,9 +293,9 @@ def parse_equation(text: str) -> EquationAst:
         lhs_expr = p.expr()
         p.expect("=", "'='")
         rhs_expr = p.expr()
-        tok = p.peek()
-        if tok.kind != "end":
-            raise ParseError("unexpected trailing input", tok.pos,
+        tok = p.toks[p.k]
+        if tok[0] != "end":
+            raise ParseError("unexpected trailing input", tok[2],
                              ("end of input",), text)
         const, lin = _lin_value(lhs_expr)
         if not cmath.isfinite(const):  # e.g. 0*inf from 1e308*10*y
@@ -319,9 +319,9 @@ def parse_expression(text: str) -> Expr:
     try:
         p = _Parser(text)
         node = p.expr()
-        tok = p.peek()
-        if tok.kind != "end":
-            raise ParseError("unexpected trailing input", tok.pos,
+        tok = p.toks[p.k]
+        if tok[0] != "end":
+            raise ParseError("unexpected trailing input", tok[2],
                              ("end of input",), text)
         return node
     except EquationError as exc:
@@ -357,23 +357,34 @@ def _fold_const(fn, z: complex, pos: int) -> complex:
 
 
 def _lin_value(e: Expr) -> tuple[complex, dict[int, complex]]:
+    # the left spine of an operator chain is walked in a loop, so only right
+    # operands recurse; each operator still reads its left operand first
+    spine = []
+    while isinstance(e, Bin):
+        spine.append(e)
+        e = e.left
     if isinstance(e, Num):
-        return e.value, {}
-    if isinstance(e, VarX):
+        value = e.value, {}
+    elif isinstance(e, VarX):
         raise UnsupportedForm(
             "x may only appear in the forcing part of the equation", e.pos)
-    if isinstance(e, YTerm):
-        return 0j, {e.order: 1.0 + 0j}
-    if isinstance(e, Neg):
+    elif isinstance(e, YTerm):
+        value = 0j, {e.order: 1.0 + 0j}
+    elif isinstance(e, Neg):
         c, lin = _lin_value(e.operand)
-        return -c, {d: -v for d, v in lin.items()}
-    if isinstance(e, Call):
+        value = -c, {d: -v for d, v in lin.items()}
+    else:
         c, lin = _lin_value(e.arg)
         if lin:
             raise NonlinearTerm(f"y inside {e.fn}() is not linear", e.pos)
-        return _fold_const(_FOLD[e.fn], c, e.pos), {}
-    a_c, a_l = _lin_value(e.left)
-    b_c, b_l = _lin_value(e.right)
+        value = _fold_const(_FOLD[e.fn], c, e.pos), {}
+    for b in reversed(spine):
+        value = _lin_bin(b, *value, *_lin_value(b.right))
+    return value
+
+
+def _lin_bin(e: Bin, a_c: complex, a_l: dict[int, complex], b_c: complex,
+             b_l: dict[int, complex]) -> tuple[complex, dict[int, complex]]:
     if e.op in ("+", "-"):
         sign = 1.0 if e.op == "+" else -1.0
         out = dict(a_l)
@@ -418,18 +429,18 @@ def _contains_y(expr: Expr) -> bool:
     return False
 
 
-def _additive_terms(expr: Expr, sign: int = 1,
-                    out: list[tuple[int, Expr]] | None = None
-                    ) -> list[tuple[int, Expr]]:
-    if out is None:
-        out = []
-    if isinstance(expr, Bin) and expr.op in ("+", "-"):
-        _additive_terms(expr.left, sign, out)
-        _additive_terms(expr.right, sign if expr.op == "+" else -sign, out)
-    elif isinstance(expr, Neg):
-        _additive_terms(expr.operand, -sign, out)
-    else:
-        out.append((sign, expr))
+def _additive_terms(expr: Expr) -> list[tuple[int, Expr]]:
+    """The signed terms of a chain of '+', '-' and unary '-', left to right."""
+    out, stack = [], [(1, expr)]
+    while stack:
+        sign, node = stack.pop()
+        if isinstance(node, Bin) and node.op in ("+", "-"):
+            stack.append((sign if node.op == "+" else -sign, node.right))
+            stack.append((sign, node.left))
+        elif isinstance(node, Neg):
+            stack.append((-sign, node.operand))
+        else:
+            out.append((sign, node))
     return out
 
 
@@ -462,38 +473,31 @@ def _split_rhs(rhs_expr: Expr, lin: dict[int, complex]) -> Expr:
 
 # ---------------------------------------------------------- lowering
 
-def _try_constant(f: ExpPoly) -> complex | None:
-    if f.is_zero:
-        return 0j
-    if len(f.terms) == 1:
-        lam, p = f.terms[0]
-        if abs(lam) <= EXP_MERGE_TOL and p.degree == 0:
-            return p.coeffs[0]
+def _affine(terms) -> tuple[complex, complex] | None:
+    """(a, b) when canonical terms are the value a*x + b (a is 0 for a
+    constant), else None."""
+    if not terms:
+        return 0j, 0j
+    lam, p = terms[0]
+    if len(terms) == 1 and abs(lam) <= EXP_MERGE_TOL and p.degree <= 1:
+        return (p.coeffs[1] if p.degree == 1 else 0j), p.coeffs[0]
     return None
 
 
-def _constant_of(f: ExpPoly, node: Expr, what: str = "value") -> complex:
-    c = _try_constant(f)
-    if c is None:
+def _constant_of(terms, node: Expr, what: str = "value") -> complex:
+    ab = _affine(terms)
+    if ab is None or ab[0] != 0:
         raise UnsupportedForm(f"the {what} must be a constant",
                               getattr(node, "pos", 0))
-    return c
+    return ab[1]
 
 
-def _affine_arg(f: ExpPoly, call: Call) -> tuple[complex, complex]:
-    if f.is_zero:
-        return 0j, 0j
-    if len(f.terms) == 1:
-        lam, p = f.terms[0]
-        if abs(lam) <= EXP_MERGE_TOL and p.degree <= 1:
-            b = p.coeffs[0]
-            a = p.coeffs[1] if p.degree == 1 else 0j
-            return a, b
-    raise UnsupportedForm(f"{call.fn}() argument must be linear in x", call.pos)
-
-
-def _canon(terms: dict[complex, Poly]) -> ExpPoly:
-    return ExpPoly(tuple(terms.items()))
+def _terms(parts: dict[complex, Poly]) -> tuple[tuple[complex, Poly], ...]:
+    """ExpPoly(parts).terms.  One part with a finite exponent has nothing
+    to sort or merge, so it is only cleaned, as the constructor would."""
+    if len(parts) == 1 and cmath.isfinite(next(iter(parts))):
+        return _kept(parts.items())
+    return ExpPoly(tuple(parts.items())).terms
 
 
 def _accumulate(acc: dict[complex, Poly], lam: complex, p: Poly) -> None:
@@ -522,7 +526,11 @@ def _lower(expr: Expr) -> dict[complex, Poly]:
     if isinstance(expr, YTerm):
         raise UnknownOnRhs("y cannot appear in a function expression", expr.pos)
     if isinstance(expr, Call):
-        a, b = _affine_arg(_canon(_lower(expr.arg)), expr)
+        ab = _affine(_terms(_lower(expr.arg)))
+        if ab is None:
+            raise UnsupportedForm(f"{expr.fn}() argument must be linear in x",
+                                  expr.pos)
+        a, b = ab
         if expr.fn == "exp":
             return {a: Poly((_fold_const(cmath.exp, b, expr.pos),))}
         up = _fold_const(cmath.exp, 1j * b, expr.pos)
@@ -540,20 +548,39 @@ def _lower(expr: Expr) -> dict[complex, Poly]:
             for lam, p in _lower(term).items():
                 _accumulate(out, lam, p if sign > 0 else -p)
         return out
-    if expr.op == "*":
-        return _product(_lower(expr.left), _lower(expr.right))
-    if expr.op == "/":
-        denom = _constant_of(_canon(_lower(expr.right)), expr, "divisor")
-        if denom == 0:
-            raise UnsupportedForm("division by zero", expr.pos)
-        return {lam: p.scale(1.0 / denom)
-                for lam, p in _lower(expr.left).items()}
-    # '^'
-    exponent = _constant_of(_canon(_lower(expr.right)), expr, "exponent")
-    base = _canon(_lower(expr.left))
-    base_const = _try_constant(base)
-    if base_const is not None:
-        return {0j: Poly((_cpow(base_const, exponent, expr.pos),))}
+    if expr.op != "^":
+        # a product's left spine is walked in a loop: a divisor is read on
+        # the way down, before its dividend, a factor on the way back up
+        steps = []
+        while isinstance(expr, Bin) and expr.op in ("*", "/"):
+            if expr.op == "*":
+                steps.append(expr.right)
+            else:
+                denom = _constant_of(_terms(_lower(expr.right)), expr, "divisor")
+                if denom == 0:
+                    raise UnsupportedForm("division by zero", expr.pos)
+                steps.append(1.0 / denom)
+            expr = expr.left
+        out = _lower(expr)
+        for step in reversed(steps):
+            if isinstance(step, complex):
+                out = {lam: p.scale(step) for lam, p in out.items()}
+            else:
+                out = _product(out, _lower(step))
+        return out
+    if isinstance(expr.right, Num):
+        # what the number lowers to, read in place: Poly converts it and
+        # checks it finite, abs() overflows as in the cleaning, 0 reads 0j
+        cs = Poly((expr.right.value,)).coeffs
+        exponent = cs[0] if cs and abs(cs[0]) else 0j
+    else:
+        exponent = _constant_of(_terms(_lower(expr.right)), expr, "exponent")
+    base = None
+    if not isinstance(expr.left, VarX):
+        base = _terms(_lower(expr.left))
+        ab = _affine(base)
+        if ab is not None and ab[0] == 0:
+            return {0j: Poly((_cpow(ab[1], exponent, expr.pos),))}
     k = exponent.real
     if exponent.imag != 0 or k != int(k) or k < 0:
         raise UnsupportedForm(
@@ -562,7 +589,10 @@ def _lower(expr: Expr) -> dict[complex, Poly]:
     k = int(k)
     if k > _MAX_POWER:
         raise UnsupportedForm("exponent too large", expr.pos)
-    out, factor = {0j: Poly((1.0,))}, dict(base.terms)
+    if base is None:
+        # x^k: every product below would add only +0j terms to one 1+0j
+        return {0j: monomial(k)}
+    out, factor = {0j: Poly((1.0,))}, dict(base)
     for _ in range(k):
         out = _product(out, factor)
     return out
@@ -581,7 +611,7 @@ def lower_rhs(expr: Expr) -> ExpPoly:
     Arithmetic that leaves the double range raises UnsupportedForm.
     """
     try:
-        return _canon(_lower(expr))
+        return ExpPoly(tuple(_lower(expr).items()))
     except (ValueError, OverflowError) as exc:
         # coefficient validation, e.g. products of huge constants reaching
         # inf, or a magnitude (abs) that leaves the double range
@@ -600,7 +630,7 @@ def parse_exppoly(text: str) -> ExpPoly:
 def parse_constant(text: str) -> complex:
     f = parse_exppoly(text)
     try:
-        return _constant_of(f, Num(0j, 0), "expression")
+        return _constant_of(f.terms, Num(0j, 0), "expression")
     except EquationError as exc:
         _fill_source(exc, text)
         raise
@@ -612,9 +642,9 @@ def parse_initial_conditions(text: str) -> tuple[tuple[int, float, complex], ...
         p = _Parser(text)
         out = []
         while True:
-            name = p.expect("name", "'y'")
-            if name.text != "y":
-                raise ParseError("conditions must constrain y", name.pos,
+            _, name, pos, _ = p.expect("name", "'y'")
+            if name != "y":
+                raise ParseError("conditions must constrain y", pos,
                                  ("'y'",), text)
             order = p.y_suffix()
             p.expect("(", "'('")
@@ -622,19 +652,19 @@ def parse_initial_conditions(text: str) -> tuple[tuple[int, float, complex], ...
             p.expect(")", "')'")
             p.expect("=", "'='")
             v_expr = p.expr()
-            x0 = _constant_of(lower_rhs(x_expr), x_expr, "evaluation point")
+            x0 = _constant_of(lower_rhs(x_expr).terms, x_expr, "evaluation point")
             if abs(x0.imag) > 1e-12 * (1.0 + abs(x0)):
                 raise UnsupportedForm("the evaluation point must be real",
                                       getattr(x_expr, "pos", 0))
-            value = _constant_of(lower_rhs(v_expr), v_expr, "condition value")
+            value = _constant_of(lower_rhs(v_expr).terms, v_expr, "condition value")
             out.append((order, float(x0.real), value))
-            tok = p.peek()
-            if tok.kind == "end":
+            kind, _, pos, _ = p.toks[p.k]
+            if kind == "end":
                 return tuple(out)
-            if tok.kind != ",":
-                raise ParseError("expected ','", tok.pos,
+            if kind != ",":
+                raise ParseError("expected ','", pos,
                                  ("','", "end of input"), text)
-            p.advance()
+            p.k += 1
     except EquationError as exc:
         _fill_source(exc, text)
         raise

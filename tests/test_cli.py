@@ -436,3 +436,31 @@ def test_root_finder_overflow_exits_3(capsys, equation):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("equation", [
+    # sums are split into terms, and products lowered, along their left
+    # spine in a loop, so no chain recurses once per operand
+    "y' = " + " + ".join(["x"] * 1200),
+    "y' + " + " + ".join(["y"] * 1200) + " = 1",
+    "y' = " + "*".join(["x"] * 1200),
+])
+def test_long_chains_solve(capsys, equation):
+    assert main(["solve", equation]) == 0
+    assert capsys.readouterr().out.endswith("status: verified\n")
+
+
+@pytest.mark.parametrize("equation, pos", [
+    # the caret marks the opening that passes the cap of 100 levels
+    ("y' = " + "(" * 400 + "x" + ")" * 400, 105),
+    ("y' = " + "-" * 2000 + "x", 105),
+    ("y' = x" + "^1" * 3000, 206),
+])
+def test_deep_nesting_exits_2(capsys, equation, pos):
+    assert main(["solve", equation]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 3
+    assert lines[0] == "error: expression nests too deeply"
+    assert lines[2] == "  " + " " * pos + "^"

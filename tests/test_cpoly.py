@@ -3,7 +3,7 @@
 import cmath
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expode import (
@@ -270,6 +270,9 @@ def real_polys(draw, max_degree=6):
 
 @settings(max_examples=60, deadline=None)
 @given(p=real_polys())
+# snapping the triple root's real part -8.3e-11 to 0 fails to certify; the
+# set left unsnapped certified with -1.9999999997508962+1.75e-46i unpaired
+@example(p=Poly((0, 0, 4.982075351826279e-10, 2, 1)))
 def test_real_coefficients_give_conjugate_closed_roots(p):
     fac = find_roots(p)
     pool = list(fac.pairs)

@@ -407,8 +407,8 @@ TOKEN_ERRORS = [
 @pytest.mark.parametrize("text, tokens", TOKEN_TABLE)
 def test_tokenizer_table(text, tokens):
     toks = expode.parsing._tokenize(text)
-    assert [(t.kind, t.text, t.pos, t.value) for t in toks[:-1]] == tokens
-    assert (toks[-1].kind, toks[-1].pos) == ("end", len(text))
+    assert toks[:-1] == tokens
+    assert (toks[-1][0], toks[-1][2]) == ("end", len(text))
 
 
 @pytest.mark.parametrize("text, message, pos", TOKEN_ERRORS)
@@ -416,6 +416,192 @@ def test_tokenizer_errors(text, message, pos):
     with pytest.raises(ParseError) as exc:
         expode.parsing._tokenize(text)
     assert (str(exc.value), exc.value.pos) == (message, pos)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="0123456789.eEi+-*/^()=,'xyz \t\n\x1c\u00a0", max_size=40))
+def test_tokens_cover_the_text(text):
+    # each token's text sits at its position; only whitespace lies between
+    try:
+        toks = expode.parsing._tokenize(text)
+    except ParseError as exc:
+        assert 0 <= exc.pos < len(text)
+        return
+    end = 0
+    for kind, tok_text, pos, _ in toks:
+        assert text[pos:pos + len(tok_text)] == tok_text
+        assert not text[end:pos].strip()
+        end = pos + len(tok_text)
+    assert toks[-1] == ("end", "", len(text), 0j)
+
+
+# ------------------------------------------------------ front-end values
+
+FRONT_END_PINS = [
+    # An expression, then repr(parse_expression) and repr(parse_exppoly);
+    # an equation, then repr(parse_equation) and repr(compile_equation); or
+    # either, then the error's (class, message, position).
+    ('x^0',
+     "Bin(op='^', left=VarX(pos=0), right=Num(value=0j, pos=2), pos=1)",
+     'ExpPoly(terms=((0j, Poly(coeffs=((1+0j),))),))'),
+    ('x^100',
+     "Bin(op='^', left=VarX(pos=0), right=Num(value=(100+0j), pos=2), "
+     'pos=1)',
+     "ExpPoly(terms=((0j, Poly(coeffs=(" + "0j, " * 100
+     + "(1+0j)))),))"),
+    ('x^101', ('UnsupportedForm', 'exponent too large', 1)),
+    ('x^1.5',
+     ('UnsupportedForm',
+      'non-constant expressions take only nonnegative integer '
+      'powers', 1)),
+    ('x^-1',
+     ('UnsupportedForm',
+      'non-constant expressions take only nonnegative integer '
+      'powers', 1)),
+    ('x^(1+1)',
+     "Bin(op='^', left=VarX(pos=0), right=Bin(op='+', "
+     'left=Num(value=(1+0j), pos=3), right=Num(value=(1+0j), pos=5), '
+     'pos=4), pos=1)',
+     'ExpPoly(terms=((0j, Poly(coeffs=(0j, 0j, (1+0j)))),))'),
+    ('x^2^2',
+     "Bin(op='^', left=VarX(pos=0), right=Bin(op='^', "
+     'left=Num(value=(2+0j), pos=2), right=Num(value=(2+0j), pos=4), '
+     'pos=3), pos=1)',
+     'ExpPoly(terms=((0j, Poly(coeffs=(0j, 0j, 0j, 0j, (1+0j)))),))'),
+    ('(x+1)^3',
+     "Bin(op='^', left=Bin(op='+', left=VarX(pos=1), "
+     'right=Num(value=(1+0j), pos=3), pos=2), right=Num(value=(3+0j), '
+     'pos=6), pos=5)',
+     'ExpPoly(terms=((0j, Poly(coeffs=((1+0j), (3+0j), (3+0j), '
+     '(1+0j)))),))'),
+    ('2^3',
+     "Bin(op='^', left=Num(value=(2+0j), pos=0), "
+     'right=Num(value=(3+0j), pos=2), pos=1)',
+     'ExpPoly(terms=((0j, Poly(coeffs=((8+0j),))),))'),
+    ('i^2',
+     "Bin(op='^', left=Num(value=1j, pos=0), right=Num(value=(2+0j), "
+     'pos=2), pos=1)',
+     'ExpPoly(terms=((0j, Poly(coeffs=((-1+0j),))),))'),
+    ('-x^2',
+     "Neg(operand=Bin(op='^', left=VarX(pos=1), "
+     'right=Num(value=(2+0j), pos=3), pos=2), pos=0)',
+     'ExpPoly(terms=((0j, Poly(coeffs=(0j, 0j, (-1-0j)))),))'),
+    ('2x^2 - 3i*x',
+     "Bin(op='-', left=Bin(op='*', left=Num(value=(2+0j), pos=0), "
+     "right=Bin(op='^', left=VarX(pos=1), right=Num(value=(2+0j), "
+     "pos=3), pos=2), pos=1), right=Bin(op='*', left=Num(value=3j, "
+     'pos=7), right=VarX(pos=10), pos=9), pos=5)',
+     'ExpPoly(terms=((0j, Poly(coeffs=(0j, -3j, (2+0j)))),))'),
+    ('exp(0*x)',
+     "Call(fn='exp', arg=Bin(op='*', left=Num(value=0j, pos=4), "
+     'right=VarX(pos=6), pos=5), pos=0)',
+     'ExpPoly(terms=((0j, Poly(coeffs=((1+0j),))),))'),
+    ('sin(1e-13*x)',
+     "Call(fn='sin', arg=Bin(op='*', left=Num(value=(1e-13+0j), "
+     'pos=4), right=VarX(pos=10), pos=9), pos=0)',
+     'ExpPoly(terms=())'),
+    ('3exp(2x)*cos(x)',
+     "Bin(op='*', left=Bin(op='*', left=Num(value=(3+0j), pos=0), "
+     "right=Call(fn='exp', arg=Bin(op='*', left=Num(value=(2+0j), "
+     'pos=5), right=VarX(pos=6), pos=6), pos=1), pos=1), '
+     "right=Call(fn='cos', arg=VarX(pos=13), pos=9), pos=8)",
+     'ExpPoly(terms=(((2-1j), Poly(coeffs=((1.5+0j),))), ((2+1j), '
+     'Poly(coeffs=((1.5+0j),)))))'),
+    ('(exp(x) + 1)^2',
+     "Bin(op='^', left=Bin(op='+', left=Call(fn='exp', "
+     'arg=VarX(pos=5), pos=1), right=Num(value=(1+0j), pos=10), '
+     'pos=8), right=Num(value=(2+0j), pos=13), pos=12)',
+     'ExpPoly(terms=((0j, Poly(coeffs=((1+0j),))), ((1+0j), '
+     'Poly(coeffs=((2+0j),))), ((2+0j), Poly(coeffs=((1+0j),)))))'),
+    ('exp(x)*exp(-x)',
+     "Bin(op='*', left=Call(fn='exp', arg=VarX(pos=4), pos=0), "
+     "right=Call(fn='exp', arg=Neg(operand=VarX(pos=12), pos=11), "
+     'pos=7), pos=6)',
+     'ExpPoly(terms=((0j, Poly(coeffs=((1+0j),))),))'),
+    ('x - x',
+     "Bin(op='-', left=VarX(pos=0), right=VarX(pos=4), pos=2)",
+     'ExpPoly(terms=())'),
+    ('1e-13*x + 1',
+     "Bin(op='+', left=Bin(op='*', left=Num(value=(1e-13+0j), pos=0), "
+     'right=VarX(pos=6), pos=5), right=Num(value=(1+0j), pos=10), '
+     'pos=8)',
+     'ExpPoly(terms=((0j, Poly(coeffs=((1+0j),))),))'),
+    ('x*exp(x)/2',
+     "Bin(op='/', left=Bin(op='*', left=VarX(pos=0), "
+     "right=Call(fn='exp', arg=VarX(pos=6), pos=2), pos=1), "
+     'right=Num(value=(2+0j), pos=9), pos=8)',
+     'ExpPoly(terms=(((1+0j), Poly(coeffs=(0j, (0.5+0j)))),))'),
+    ('1/(2*x)', ('UnsupportedForm', 'the divisor must be a constant', 1)),
+    ('x/0', ('UnsupportedForm', 'division by zero', 1)),
+    ('(1e200*x)^2',
+     ('UnsupportedForm',
+      'arithmetic does not stay finite: polynomial coefficients '
+      'must be finite', 0)),
+    ('exp(x^2)', ('UnsupportedForm', 'exp() argument must be linear in x', 0)),
+    ('exp(1e308*x)*exp(1e308*x)',
+     ('UnsupportedForm',
+      'arithmetic does not stay finite: exponents must be finite', 0)),
+    ('x^(1/2)',
+     ('UnsupportedForm',
+      'non-constant expressions take only nonnegative integer '
+      'powers', 1)),
+    ('(x', ('ParseError', "expected ')'", 2)),
+    ("y' = y + exp(x)",
+     "EquationAst(lhs=((1, (1+0j)), (0, (-1+0j))), rhs=Call(fn='exp', "
+     'arg=VarX(pos=13), pos=9), text="y\' = y + exp(x)")',
+     '(LinOp(coeffs=((-1+0j),)), ExpPoly(terms=(((1+0j), '
+     'Poly(coeffs=((1+0j),))),)))'),
+    ("y'' = x - y + 2*y'",
+     'EquationAst(lhs=((2, (1+0j)), (1, (-2+0j)), (0, (1+0j))), '
+     'rhs=VarX(pos=6), text="y\'\' = x - y + 2*y\'")',
+     '(LinOp(coeffs=((-2+0j), (1+0j))), ExpPoly(terms=((0j, '
+     'Poly(coeffs=(0j, (1+0j)))),)))'),
+    ("y' = y*y", ('NonlinearTerm', 'product of two y terms', 6)),
+    ("y' = x*y",
+     ('UnsupportedForm',
+      'x may only appear in the forcing part of the equation', 5)),
+]
+
+
+@pytest.mark.parametrize("row", FRONT_END_PINS, ids=lambda row: row[0])
+def test_front_end_values_are_pinned(row):
+    text, *expected = row
+    parse, lower = ((parse_equation, compile_equation) if "=" in text
+                    else (parse_expression, parse_exppoly))
+    try:
+        got = [repr(parse(text)), repr(lower(text))]
+    except EquationError as exc:
+        got = [(type(exc).__name__, str(exc), exc.pos)]
+    assert got == expected
+
+
+ONE = "ExpPoly(terms=((0j, Poly(coeffs=((1+0j),))),))"
+NOT_FINITE = ("UnsupportedForm", "arithmetic does not stay finite: "
+              "polynomial coefficients must be finite", 0)
+TOO_LARGE = ("UnsupportedForm", "arithmetic does not stay finite: "
+             "absolute value too large", 0)
+
+
+@pytest.mark.parametrize("base, value, expected", [
+    # a number exponent in a tree built by hand, not by the parser
+    (VarX(0), -0.0, ONE),
+    (VarX(0), complex(-0.0, -0.0), ONE),
+    (VarX(0), 2.5, ("UnsupportedForm", "non-constant expressions take only "
+                    "nonnegative integer powers", 3)),
+    (VarX(0), 101, ("UnsupportedForm", "exponent too large", 3)),
+    (VarX(0), float("inf"), NOT_FINITE),
+    (VarX(0), float("nan"), NOT_FINITE),
+    (VarX(0), complex(1.7e308, 1.7e308), TOO_LARGE),
+    (Num(2, 0), -0.0, ONE),
+    (Num(2, 0), float("inf"), NOT_FINITE),
+    (Num(2, 0), complex(1.7e308, 1.7e308), TOO_LARGE),
+])
+def test_number_exponent_in_a_built_tree(base, value, expected):
+    try:
+        got = repr(lower_rhs(Bin("^", base, Num(value, 5), 3)))
+    except EquationError as exc:
+        got = (type(exc).__name__, str(exc), exc.pos)
+    assert got == expected
 
 
 # ---------------------------------------------------- initial conditions

@@ -1,6 +1,7 @@
 """The package and its scripts run on the standard library alone."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -67,3 +68,27 @@ def test_report_digest_runs(tmp_path):
                          and line.endswith(": 0 -> 1") for line in moved)
     # each op runs twice (text and --json), and both exit codes move
     assert int(exits) == 2 * len(moved)
+
+    # the front-end mode: one report per operation, and a copy that accepts
+    # no derivative order above 1 fails to compile every higher order
+    proc = _run("scripts/report_digest.py", "--workloads", "corpus",
+                "--seeds", "0", "--front-end")
+    assert proc.returncode == 0, proc.stderr
+    workload, seeds, count, digest = proc.stdout.split()
+    assert (workload, seeds, count) == ("corpus", "0", "400")
+    parsing = tmp_path / "expode" / "parsing.py"
+    text = parsing.read_text()
+    assert "\n_MAX_POWER = 100 " in text
+    parsing.write_text(text.replace("\n_MAX_POWER = 100 ", "\n_MAX_POWER = 1 "))
+    proc = _run("scripts/report_digest.py", "--workloads", "corpus",
+                "--seeds", "0", "--front-end", "--src", "src",
+                "--src", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    head, *moved = proc.stdout.splitlines()
+    workload, seeds, count, changed, exits = head.split()
+    assert (workload, seeds, count) == ("corpus", "0", "400")
+    assert 0 < int(exits) == len(moved) <= int(changed) <= 400
+    # parse_equation still passes; compile_equation now fails
+    assert all(re.fullmatch(r"  seed 0 corpus/\S+: ok(,ok)+ -> "
+                            r"ok,UnsupportedForm(,\w+)*", line)
+               for line in moved)
