@@ -15,6 +15,7 @@ from expode import (
     NotConjugateClosed,
     compile_equation,
     factor_op,
+    Factorization,
     fit_initial_conditions,
     format_constant,
     FullSolution,
@@ -54,8 +55,7 @@ def show_case(text):
     print(f"equation        {text}")
     print(f"char poly       {render_poly(op.char_poly(), 'r')}")
     roots = ", ".join(f"{format_constant(r)} (m={m})"
-                      for r, m in sorted(factored.factors,
-                                         key=lambda rm: (rm[0].real, rm[0].imag)))
+                      for r, m in Factorization(factored.factors).pairs)
     print(f"roots           {roots}")
     for name, b in zip(hom.constants, hom.basis):
         print(f"  basis {name}      {fmt(b)}")

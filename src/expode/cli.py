@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .cpoly import NonConvergence, coefficients_match
+from .cpoly import Factorization, NonConvergence, coefficients_match
 from .exppoly import ExpPoly, NotConjugateClosed
 from .operators import FactoredOp, LinOp, factor_op
 from .parsing import (
@@ -97,7 +97,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         factored = _factored_from_user(op, args.roots)
     else:
         factored = factor_op(op)
-    pairs = sorted(factored.factors, key=lambda rm: (rm[0].real, rm[0].imag))
+    pairs = Factorization(factored.factors).pairs
 
     hom = homogeneous_solution(factored)
     display_basis = (real_homogeneous_solution(factored).basis

@@ -32,9 +32,13 @@ class NonConvergence(Exception):
 
 class Record:
     """Frozen record whose fields are its ``__init__`` parameters, in order:
-    ``==`` and ``hash`` use the tuple of field values, ``repr`` names them,
-    and setting or deleting an attribute raises AttributeError.  ``__init__``
-    stores the fields with ``object.__setattr__`` or ``self.__dict__.update``."""
+    ``==`` and ``hash`` use the field values, ``repr`` names them, and
+    setting or deleting an attribute raises AttributeError.  ``__init__``
+    stores the fields with ``object.__setattr__`` or ``self.__dict__.update``.
+
+    All three walk fields that hold records with an explicit stack, so a
+    tree as deep as a long sum's left spine needs no recursion.
+    """
 
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__
@@ -46,14 +50,47 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            for x, y in zip(a._values(), b._values()):
+                if x is y:
+                    continue
+                if isinstance(x, Record) and x.__class__ is y.__class__:
+                    stack.append((x, y))
+                elif not x == y:
+                    return False
+        return True
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        # the field values in preorder, each record among them marked by its
+        # class: equal records give equal lists, and a record without record
+        # fields hashes as the tuple of its values
+        flat, stack = [], [self]
+        while stack:
+            for v in stack.pop()._values():
+                if isinstance(v, Record):
+                    flat.append(v.__class__)
+                    stack.append(v)
+                else:
+                    flat.append(v)
+        return hash(tuple(flat))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{self.__class__.__qualname__}({body})"
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            parts = [item.__class__.__qualname__ + "("]
+            for k, f in enumerate(item._fields):
+                v = getattr(item, f)
+                parts.append(f"{', ' if k else ''}{f}=")
+                parts.append(v if isinstance(v, Record) else repr(v))
+            parts.append(")")
+            stack.extend(reversed(parts))
+        return "".join(out)
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot set or delete field {name!r}")
@@ -163,6 +200,42 @@ def monomial(power: int, coeff: complex = 1.0) -> Poly:
     return Poly((0j,) * power + (complex(coeff),))
 
 
+def _root_pairs(pairs) -> tuple[tuple[complex, int], ...]:
+    """pairs as (complex, int) tuples, checked pair by pair: ValueError for a
+    root that is not finite, then for a multiplicity below 1."""
+    out = tuple((complex(r), int(m)) for r, m in pairs)
+    for r, m in out:
+        if not cmath.isfinite(r):
+            raise ValueError("roots must be finite")
+        if m < 1:
+            raise ValueError("multiplicities must be >= 1")
+    return out
+
+
+def _conjugate_pairs(zs, labels, bounds) -> list[tuple[int, int | None]]:
+    """(i, j) for each item i that no earlier item took, in order: j is the
+    nearest later item not yet taken whose label equals i's and whose
+    conjugate lies within bounds[i] of zs[i], the earliest on a tie, or None
+    when there is none or bounds[i] is None."""
+    taken = [False] * len(zs)
+    out: list[tuple[int, int | None]] = []
+    for i, z in enumerate(zs):
+        if taken[i]:
+            continue
+        best, best_d, bound, label = None, math.inf, bounds[i], labels[i]
+        if bound is not None:
+            for j in range(i + 1, len(zs)):
+                if taken[j] or labels[j] != label:
+                    continue
+                d = abs(zs[j].conjugate() - z)
+                if d <= bound and d < best_d:
+                    best, best_d = j, d
+        if best is not None:
+            taken[best] = True
+        out.append((i, best))
+    return out
+
+
 class Factorization(Record):
     """Roots with multiplicities plus a leading scale factor.
 
@@ -172,12 +245,7 @@ class Factorization(Record):
 
     def __init__(self, pairs: tuple[tuple[complex, int], ...],
                  leading: complex = 1.0 + 0j):
-        pairs = tuple((complex(r), int(m)) for r, m in pairs)
-        for r, m in pairs:
-            if not cmath.isfinite(r):
-                raise ValueError("roots must be finite")
-            if m < 1:
-                raise ValueError("multiplicities must be >= 1")
+        pairs = _root_pairs(pairs)
         if len({r for r, _ in pairs}) < len(pairs):
             raise ValueError("roots must be pairwise distinct")
         lead = complex(leading)
@@ -358,38 +426,26 @@ def _symmetrized(pairs: list[tuple[complex, int]], cut: float,
     # under conjugation: snap rounding dust off the real axis (and, with
     # snap_real, off the imaginary axis), then replace each near-conjugate
     # pair by an exact one.
-    snapped = []
-    for z, m in pairs:
+    zs = []
+    for z, _ in pairs:
         re, im = z.real, z.imag
         s = 1.0 + abs(z)
         if abs(im) <= 1e-10 * s:
             im = 0.0
         if snap_real and abs(re) <= 1e-10 * s:
             re = 0.0
-        snapped.append((complex(re, im), m))
+        zs.append(complex(re, im))
+    ms = [m for _, m in pairs]
+    bounds = [None if z.imag == 0.0 else max(cut, 1e-9) * (1.0 + abs(z))
+              for z in zs]
     out: list[tuple[complex, int]] = []
-    used = [False] * len(snapped)
-    for i, (z, m) in enumerate(snapped):
-        if used[i]:
-            continue
-        used[i] = True
-        if z.imag == 0.0:
-            out.append((z, m))
-            continue
-        best, best_d = None, math.inf
-        for j in range(i + 1, len(snapped)):
-            if used[j] or snapped[j][1] != m:
-                continue
-            d = abs(snapped[j][0].conjugate() - z)
-            if d < best_d:
-                best, best_d = j, d
-        if best is not None and best_d <= max(cut, 1e-9) * (1.0 + abs(z)):
-            used[best] = True
-            w = 0.5 * (z + snapped[best][0].conjugate())
-            out.append((w, m))
-            out.append((w.conjugate(), m))
+    for i, j in _conjugate_pairs(zs, ms, bounds):
+        if j is None:
+            out.append((zs[i], ms[i]))
         else:
-            out.append((z, m))
+            w = 0.5 * (zs[i] + zs[j].conjugate())
+            out.append((w, ms[i]))
+            out.append((w.conjugate(), ms[i]))
     return out
 
 

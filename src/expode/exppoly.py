@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .cpoly import Poly, Record
+from .cpoly import Poly, Record, _conjugate_pairs
 
 EXP_MERGE_TOL = 1e-9     # exponents closer than this are the same term
 COEFF_CLEAN_REL = 1e-12  # coefficients tiny relative to their own term get dropped
@@ -277,20 +277,14 @@ def realify(f: ExpPoly) -> TrigForm:
             lower.append((lam, p))
 
     entries: list[tuple[float, float, Poly, Poly]] = []
-    used = [False] * len(lower)
-    for lam, p in upper:
-        match, match_d = None, math.inf
-        for j, (mu, _) in enumerate(lower):
-            if used[j]:
-                continue
-            d = abs(mu.conjugate() - lam)
-            if d <= tol and d < match_d:
-                match, match_d = j, d
-        if match is None:
+    terms = upper + lower
+    lams = [lam for lam, _ in terms]
+    for i, j in _conjugate_pairs(lams, [0] * len(lams), [tol] * len(lams)):
+        lam, p = terms[i]
+        if j is None:
             raise NotConjugateClosed(
                 f"no conjugate partner for exponent {lam!r}")
-        used[match] = True
-        mu, q = lower[match]
+        mu, q = terms[j]
         mismatch = (p - _conjugate_poly(q)).max_abs()
         if mismatch > tol * scale:
             raise NotConjugateClosed(
@@ -308,9 +302,6 @@ def realify(f: ExpPoly) -> TrigForm:
         if cos_part.is_zero and sin_part.is_zero:
             continue
         entries.append((alpha, beta, cos_part, sin_part))
-    if not all(used):
-        lam = lower[used.index(False)][0]
-        raise NotConjugateClosed(f"no conjugate partner for exponent {lam!r}")
 
     for alpha, p in real_terms:
         entries.append((alpha, 0.0, p, Poly()))

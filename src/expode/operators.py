@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import cmath
 
-from .cpoly import DEFAULT_CLUSTER_TOL, Factorization, Poly, Record, find_roots
+from .cpoly import (DEFAULT_CLUSTER_TOL, Factorization, Poly, Record,
+                    _root_pairs, find_roots)
 from .exppoly import EXP_MERGE_TOL, ExpPoly, coeff_distance
 
 
@@ -71,14 +72,9 @@ class FactoredOp(Record):
     """
 
     def __init__(self, factors: tuple[tuple[complex, int], ...]):
-        pairs = tuple((complex(r), int(m)) for r, m in factors)
+        pairs = _root_pairs(factors)
         if not pairs:
             raise ValueError("operator order must be >= 1")
-        for r, m in pairs:
-            if not cmath.isfinite(r):
-                raise ValueError("roots must be finite")
-            if m < 1:
-                raise ValueError("multiplicities must be >= 1")
         for i in range(len(pairs)):
             for j in range(i + 1, len(pairs)):
                 if abs(pairs[i][0] - pairs[j][0]) <= EXP_MERGE_TOL:
@@ -121,8 +117,8 @@ def compose_check(first: FactoredOp, second: FactoredOp, y: ExpPoly,
     Raises ValueError when the two operators are not permutations of the same
     factor multiset; otherwise compares the applications termwise.
     """
-    key = lambda rm: (rm[0].real, rm[0].imag, rm[1])
-    if sorted(first.factors, key=key) != sorted(second.factors, key=key):
+    if (Factorization(first.factors).pairs
+            != Factorization(second.factors).pairs):
         raise ValueError("operators must hold the same factors")
     a = first.apply(y)
     b = second.apply(y)

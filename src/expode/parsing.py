@@ -292,7 +292,9 @@ def parse_equation(text: str) -> EquationAst:
         p = _Parser(text)
         lhs_expr = p.expr()
         p.expect("=", "'='")
+        start = p.k
         rhs_expr = p.expr()
+        rhs_has_y = any(tok[1] == "y" for tok in p.toks[start:p.k])
         tok = p.toks[p.k]
         if tok[0] != "end":
             raise ParseError("unexpected trailing input", tok[2],
@@ -303,7 +305,7 @@ def parse_equation(text: str) -> EquationAst:
         if const != 0:
             raise UnsupportedForm("every left-hand side term must contain y",
                                   getattr(lhs_expr, "pos", 0))
-        rhs_clean = _split_rhs(rhs_expr, lin)
+        rhs_clean = _split_rhs(rhs_expr, lin, rhs_has_y)
         terms = sorted(((d, c) for d, c in lin.items() if c != 0),
                        reverse=True)
         if not terms:
@@ -444,9 +446,11 @@ def _additive_terms(expr: Expr) -> list[tuple[int, Expr]]:
     return out
 
 
-def _split_rhs(rhs_expr: Expr, lin: dict[int, complex]) -> Expr:
+def _split_rhs(rhs_expr: Expr, lin: dict[int, complex], has_y: bool) -> Expr:
     """Move linear y terms from the right onto the accumulated left side
-    and return what remains of the right side as the forcing expression."""
+    and return what remains of the right side as the forcing expression.
+    has_y is False when no 'y' token lies right of the '=', so no term
+    needs to be searched for one."""
     forcing: Expr | None = None
 
     def push(node: Expr, sign: int) -> None:
@@ -458,7 +462,7 @@ def _split_rhs(rhs_expr: Expr, lin: dict[int, complex]) -> Expr:
                           getattr(node, "pos", -1))
 
     for sign, term in _additive_terms(rhs_expr):
-        if _contains_y(term):
+        if has_y and _contains_y(term):
             const, part = _lin_value(term)
             for d, v in part.items():
                 lin[d] = lin.get(d, 0j) - sign * v

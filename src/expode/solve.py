@@ -16,7 +16,8 @@ import cmath
 import math
 
 from .exppoly import EXP_MERGE_TOL, ExpPoly, NotConjugateClosed
-from .cpoly import NonConvergence, Poly, Record, monomial
+from .cpoly import (Factorization, NonConvergence, Poly, Record,
+                    _conjugate_pairs, monomial)
 from .operators import FactoredOp, LinOp
 
 
@@ -53,13 +54,9 @@ class AnsatzForm(Record):
                              degree=degree)
 
 
-def _sorted_factors(factored: FactoredOp) -> list[tuple[complex, int]]:
-    return sorted(factored.factors, key=lambda rm: (rm[0].real, rm[0].imag))
-
-
 def homogeneous_solution(factored: FactoredOp) -> HomogeneousSolution:
     basis: list[ExpPoly] = []
-    for r, m in _sorted_factors(factored):
+    for r, m in Factorization(factored.factors).pairs:
         for power in range(m):
             basis.append(ExpPoly.term(r, monomial(power)))
     constants = tuple(f"C{k + 1}" for k in range(len(basis)))
@@ -72,30 +69,21 @@ def real_homogeneous_solution(factored: FactoredOp) -> HomogeneousSolution:
     Raises NotConjugateClosed when the root multiset is not closed under
     conjugation (the operator then has no real form).
     """
-    ordered = _sorted_factors(factored)
-    used = [False] * len(ordered)
+    ordered = Factorization(factored.factors).pairs
+    rs = [r for r, _ in ordered]
+    bounds = [None if abs(r.imag) <= EXP_MERGE_TOL else EXP_MERGE_TOL
+              for r in rs]
     basis: list[ExpPoly] = []
-    for i, (r, m) in enumerate(ordered):
-        if used[i]:
-            continue
-        used[i] = True
-        if abs(r.imag) <= EXP_MERGE_TOL:
+    for i, j in _conjugate_pairs(rs, [m for _, m in ordered], bounds):
+        r, m = ordered[i]
+        if bounds[i] is None:
             for power in range(m):
                 basis.append(ExpPoly.term(r, monomial(power)))
             continue
-        partner = None
-        for j in range(i + 1, len(ordered)):
-            if used[j] or ordered[j][1] != m:
-                continue
-            if abs(ordered[j][0].conjugate() - r) <= EXP_MERGE_TOL:
-                partner = j
-                break
-        if partner is None:
+        if j is None:
             raise NotConjugateClosed(
                 f"root {r!r} has no conjugate partner of equal multiplicity")
-        used[partner] = True
-        top = r if r.imag > 0 else ordered[partner][0]
-        bot = ordered[partner][0] if r.imag > 0 else r
+        top, bot = (r, rs[j]) if r.imag > 0 else (rs[j], r)
         for power in range(m):
             plus = ExpPoly.term(top, monomial(power))
             minus = ExpPoly.term(bot, monomial(power))

@@ -10,8 +10,10 @@ import random
 
 from hypothesis import strategies as st
 
-from expode import EXP_MERGE_TOL, ExpPoly, FactoredOp, Poly, coeff_distance
-from expode.exppoly import COEFF_CLEAN_REL
+from expode import (EXP_MERGE_TOL, ExpPoly, FactoredOp, HomogeneousSolution,
+                    NotConjugateClosed, Poly, TrigForm, coeff_distance,
+                    monomial)
+from expode.exppoly import COEFF_CLEAN_REL, _conjugate_poly, _real_poly
 
 # exponent grid for function-space properties
 GRID = (0j, 1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j, 1j, -1j, 1 + 1j, 1 - 1j)
@@ -93,6 +95,145 @@ def canonical_reference(raw) -> tuple:
             final.append((lam, p))
     final.sort(key=lambda t: (t[0].real, t[0].imag))
     return tuple(final)
+
+
+def symmetrized_reference(pairs, cut, snap_real):
+    """cpoly._symmetrized as its own partner search wrote it: each non-real
+    root takes the nearest later unused root of equal multiplicity (the
+    first on a tie) and keeps it when within max(cut, 1e-9) * (1 + |z|)."""
+    snapped = []
+    for z, m in pairs:
+        re, im = z.real, z.imag
+        s = 1.0 + abs(z)
+        if abs(im) <= 1e-10 * s:
+            im = 0.0
+        if snap_real and abs(re) <= 1e-10 * s:
+            re = 0.0
+        snapped.append((complex(re, im), m))
+    out = []
+    used = [False] * len(snapped)
+    for i, (z, m) in enumerate(snapped):
+        if used[i]:
+            continue
+        used[i] = True
+        if z.imag == 0.0:
+            out.append((z, m))
+            continue
+        best, best_d = None, math.inf
+        for j in range(i + 1, len(snapped)):
+            if used[j] or snapped[j][1] != m:
+                continue
+            d = abs(snapped[j][0].conjugate() - z)
+            if d < best_d:
+                best, best_d = j, d
+        if best is not None and best_d <= max(cut, 1e-9) * (1.0 + abs(z)):
+            used[best] = True
+            w = 0.5 * (z + snapped[best][0].conjugate())
+            out.append((w, m))
+            out.append((w.conjugate(), m))
+        else:
+            out.append((z, m))
+    return out
+
+
+def realify_reference(f):
+    """exppoly.realify as its own partner search wrote it: each upper
+    exponent, in order, takes the nearest unused lower one within
+    EXP_MERGE_TOL (the first on a tie)."""
+    tol = EXP_MERGE_TOL
+    scale = 1.0 + f.max_coeff()
+    real_terms = []
+    upper = []
+    lower = []
+    for lam, p in f.terms:
+        if abs(lam.imag) <= tol:
+            bad = max((abs(c.imag) for c in p.coeffs), default=0.0)
+            if bad > tol * scale:
+                raise NotConjugateClosed(
+                    "coefficients at a real exponent have imaginary parts")
+            real_terms.append((lam.real, _real_poly(p, lambda c: c.real)))
+        elif lam.imag > 0:
+            upper.append((lam, p))
+        else:
+            lower.append((lam, p))
+
+    entries = []
+    used = [False] * len(lower)
+    for lam, p in upper:
+        match, match_d = None, math.inf
+        for j, (mu, _) in enumerate(lower):
+            if used[j]:
+                continue
+            d = abs(mu.conjugate() - lam)
+            if d <= tol and d < match_d:
+                match, match_d = j, d
+        if match is None:
+            raise NotConjugateClosed(
+                f"no conjugate partner for exponent {lam!r}")
+        used[match] = True
+        mu, q = lower[match]
+        mismatch = (p - _conjugate_poly(q)).max_abs()
+        if mismatch > tol * scale:
+            raise NotConjugateClosed(
+                f"conjugate polynomial parts differ at exponent {lam!r}")
+        alpha = 0.5 * (lam.real + mu.real)
+        beta = 0.5 * (lam.imag - mu.imag)
+        half = (p + _conjugate_poly(q)).scale(0.5)
+        floor = COEFF_CLEAN_REL * max(1.0, half.max_abs())
+        cos_part = Poly(tuple(
+            complex(2.0 * c.real, 0.0) if abs(2.0 * c.real) > floor else 0j
+            for c in half.coeffs))
+        sin_part = Poly(tuple(
+            complex(-2.0 * c.imag, 0.0) if abs(2.0 * c.imag) > floor else 0j
+            for c in half.coeffs))
+        if cos_part.is_zero and sin_part.is_zero:
+            continue
+        entries.append((alpha, beta, cos_part, sin_part))
+    if not all(used):
+        lam = lower[used.index(False)][0]
+        raise NotConjugateClosed(f"no conjugate partner for exponent {lam!r}")
+
+    for alpha, p in real_terms:
+        entries.append((alpha, 0.0, p, Poly()))
+    entries.sort(key=lambda e: (e[0], e[1]))
+    return TrigForm(tuple(entries))
+
+
+def real_homogeneous_reference(factored):
+    """solve.real_homogeneous_solution as its own partner search wrote it:
+    each non-real root takes the first later unused root of equal
+    multiplicity whose conjugate lies within EXP_MERGE_TOL."""
+    ordered = sorted(factored.factors, key=lambda rm: (rm[0].real, rm[0].imag))
+    used = [False] * len(ordered)
+    basis = []
+    for i, (r, m) in enumerate(ordered):
+        if used[i]:
+            continue
+        used[i] = True
+        if abs(r.imag) <= EXP_MERGE_TOL:
+            for power in range(m):
+                basis.append(ExpPoly.term(r, monomial(power)))
+            continue
+        partner = None
+        for j in range(i + 1, len(ordered)):
+            if used[j] or ordered[j][1] != m:
+                continue
+            if abs(ordered[j][0].conjugate() - r) <= EXP_MERGE_TOL:
+                partner = j
+                break
+        if partner is None:
+            raise NotConjugateClosed(
+                f"root {r!r} has no conjugate partner of equal multiplicity")
+        used[partner] = True
+        top = r if r.imag > 0 else ordered[partner][0]
+        bot = ordered[partner][0] if r.imag > 0 else r
+        for power in range(m):
+            plus = ExpPoly.term(top, monomial(power))
+            minus = ExpPoly.term(bot, monomial(power))
+            basis.append((plus + minus).scale(0.5))
+            basis.append((plus - minus).scale(complex(0.0, -0.5)))
+    constants = tuple(f"C{k + 1}" for k in range(len(basis)))
+    return HomogeneousSolution(tuple(basis), constants)
 
 
 def random_poly(rng: random.Random, max_degree: int = 4) -> Poly:

@@ -118,6 +118,28 @@ def test_y_on_rhs_distributed_constant():
     assert lower_rhs(ast.rhs) == ExpPoly.constant(2 + 0j)
 
 
+def test_rhs_without_y_is_not_searched_for_y(monkeypatch):
+    calls = []
+
+    def counted(expr):
+        calls.append(expr)
+        return real(expr)
+
+    real = expode.parsing._contains_y
+    monkeypatch.setattr(expode.parsing, "_contains_y", counted)
+    text = "y'' + y = x*exp(2*x) - 3*sin(x) + cos(x)"
+    ast = parse_equation(text)
+    assert calls == []
+    # the forcing tree is rebuilt as when each term was searched; blanks
+    # in place of the left side keep every position
+    at = text.index("=") + 1
+    rhs = parse_expression(" " * at + text[at:])
+    assert ast.rhs == expode.parsing._split_rhs(rhs, {}, True)
+    calls.clear()
+    assert parse_equation("y' = y + x").lhs == ((1, 1 + 0j), (0, -1 + 0j))
+    assert len(calls) == 2
+
+
 def test_y_terms_may_cancel_to_nothing():
     with pytest.raises(UnsupportedForm):
         parse_equation("y = y")

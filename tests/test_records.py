@@ -149,3 +149,21 @@ def test_keyword_construction_and_defaults():
     assert VerifyReport(symbolic=0.0, pointwise=0.0).within()
     hom = HomogeneousSolution(basis=(), constants=())
     assert FullSolution(homogeneous=hom, particular=ExpPoly()).homogeneous is hom
+
+
+def test_deep_trees_print_compare_and_hash():
+    # a 1,200-term sum is a left spine 1,199 levels deep, past the
+    # interpreter's recursion limit
+    n = 1200
+    text = " + ".join(["x"] * n)
+    tree = parse_expression(text)
+    want = "Bin(op='+', left=" * (n - 1) + "VarX(pos=0)" + "".join(
+        f", right=VarX(pos={4 * k}), pos={4 * k - 2})" for k in range(1, n))
+    assert repr(tree) == want
+    twin = parse_expression(text)
+    assert tree == twin and hash(tree) == hash(twin)
+    assert tree != parse_expression(text[:-1] + "2")
+    assert tree.__eq__(VarX(0)) is NotImplemented
+    eq = "y' = " + text
+    assert parse_equation(eq) == parse_equation(eq)
+    assert hash(parse_equation(eq)) == hash(parse_equation(eq))
