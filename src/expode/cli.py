@@ -34,6 +34,7 @@ from .parsing import (
 from .solve import (
     FullSolution,
     SingularSystem,
+    VerifyReport,
     fit_initial_conditions,
     homogeneous_solution,
     particular_solution,
@@ -91,6 +92,24 @@ def _factored_from_user(op: LinOp, text: str) -> FactoredOp:
     return factored
 
 
+def _verdict(worst: VerifyReport, doc: dict | None) -> int:
+    """Decide "verified" from the largest residuals, print them and the
+    status as the last keys of doc (--json) or, without one, as the last
+    text lines, and return the exit code."""
+    ok = worst.within(RESIDUAL_TOL)
+    status = "verified" if ok else "unverified"
+    sym, pw = worst.symbolic, worst.pointwise
+    if doc is not None:
+        doc.update(residual_symbolic=_fnum(sym), residual_pointwise=_fnum(pw),
+                   status=status)
+        print(json.dumps(doc, indent=2))
+    else:
+        print(f"residual (symbolic): {sym:.3e}")
+        print(f"residual (pointwise): {pw:.3e}")
+        print(f"status: {status}")
+    return 0 if ok else 1
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     op, rhs = compile_equation(args.equation)
     if args.roots is not None:
@@ -115,17 +134,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
         reports.append(verify_solution(op, rhs, fitted,
                                        points=args.verify_points))
 
-    sym = max(r.symbolic for r in reports)
-    pw = max(r.pointwise for r in reports)
-    ok = sym <= RESIDUAL_TOL and pw <= RESIDUAL_TOL
-    status = "verified" if ok else "unverified"
+    worst = VerifyReport(max(r.symbolic for r in reports),
+                         max(r.pointwise for r in reports))
 
     basis_text = [render(b, realify=args.real) for b in display_basis]
     part_text = render(part, realify=args.real)
     fitted_text = None if fitted is None else render(fitted, realify=args.real)
 
     if args.json:
-        doc = {
+        return _verdict(worst, {
             "equation": args.equation,
             "char_poly": [_fcomplex(c) for c in op.char_poly().coeffs],
             "roots": [_fcomplex(r) for r, _ in pairs],
@@ -133,12 +150,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "homogeneous_basis": basis_text,
             "particular": part_text,
             "fitted": fitted_text,
-            "residual_symbolic": _fnum(sym),
-            "residual_pointwise": _fnum(pw),
-            "status": status,
-        }
-        print(json.dumps(doc, indent=2))
-        return 0 if ok else 1
+        })
 
     combo = " + ".join(_c_times(name, text)
                        for name, text in zip(hom.constants, basis_text))
@@ -157,34 +169,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"general solution: {combo}")
     if fitted_text is not None:
         print(f"fitted solution: {fitted_text}")
-    print(f"residual (symbolic): {sym:.3e}")
-    print(f"residual (pointwise): {pw:.3e}")
-    print(f"status: {status}")
-    return 0 if ok else 1
+    return _verdict(worst, None)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     op, rhs = compile_equation(args.equation)
     candidate = parse_exppoly(args.candidate)
     report = verify_solution(op, rhs, candidate, points=args.verify_points)
-    ok = report.within(RESIDUAL_TOL)
-    status = "verified" if ok else "unverified"
     if args.json:
-        doc = {
-            "equation": args.equation,
-            "candidate": args.candidate,
-            "residual_symbolic": _fnum(report.symbolic),
-            "residual_pointwise": _fnum(report.pointwise),
-            "status": status,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"equation: {args.equation}")
-        print(f"candidate: {render(candidate)}")
-        print(f"residual (symbolic): {report.symbolic:.3e}")
-        print(f"residual (pointwise): {report.pointwise:.3e}")
-        print(f"status: {status}")
-    return 0 if ok else 1
+        return _verdict(report, {"equation": args.equation,
+                                 "candidate": args.candidate})
+    print(f"equation: {args.equation}")
+    print(f"candidate: {render(candidate)}")
+    return _verdict(report, None)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

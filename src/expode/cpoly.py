@@ -36,7 +36,8 @@ class Record:
     setting or deleting an attribute raises AttributeError.  ``__init__``
     stores the fields with ``object.__setattr__`` or ``self.__dict__.update``.
 
-    All three walk fields that hold records with an explicit stack, so a
+    Both walks, the preorder that ``==`` and ``hash`` share and the one of
+    ``repr``, visit fields that hold records with an explicit stack, so a
     tree as deep as a long sum's left spine needs no recursion.
     """
 
@@ -47,25 +48,10 @@ class Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            for x, y in zip(a._values(), b._values()):
-                if x is y:
-                    continue
-                if isinstance(x, Record) and x.__class__ is y.__class__:
-                    stack.append((x, y))
-                elif not x == y:
-                    return False
-        return True
-
-    def __hash__(self) -> int:
+    def _preorder(self) -> list:
         # the field values in preorder, each record among them marked by its
-        # class: equal records give equal lists, and a record without record
-        # fields hashes as the tuple of its values
+        # class, which fixes how many values follow for it: two records are
+        # equal exactly when their lists are
         flat, stack = [], [self]
         while stack:
             for v in stack.pop()._values():
@@ -74,7 +60,16 @@ class Record:
                     stack.append(v)
                 else:
                     flat.append(v)
-        return hash(tuple(flat))
+        return flat
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        # a record without record fields hashes as the tuple of its values
+        return hash(tuple(self._preorder()))
 
     def __repr__(self) -> str:
         out, stack = [], [self]

@@ -23,6 +23,7 @@ polynomials in x with exp/sin/cos of expressions linear in x.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
 
@@ -168,6 +169,12 @@ class _Parser:
         self.k += 1
         return tok
 
+    def end(self) -> None:
+        tok = self.toks[self.k]
+        if tok[0] != "end":
+            raise ParseError("unexpected trailing input", tok[2],
+                             ("end of input",), self.text)
+
     def nest(self, pos: int) -> None:
         if self.depth == _MAX_NESTING:
             raise ParseError("expression nests too deeply", pos, (), self.text)
@@ -276,11 +283,21 @@ class _Parser:
         return 0
 
 
-def _fill_source(exc: EquationError, text: str) -> None:
-    if exc.source is None:
-        exc.source = text
+def _sourced(entry):
+    """Entry point whose EquationErrors carry its input text as their
+    source, unless a nested entry point or the parser has set one."""
+    @functools.wraps(entry)
+    def wrapper(text):
+        try:
+            return entry(text)
+        except EquationError as exc:
+            if exc.source is None:
+                exc.source = text
+            raise
+    return wrapper
 
 
+@_sourced
 def parse_equation(text: str) -> EquationAst:
     """Parse 'lhs = rhs' and check the structural rules on both sides.
 
@@ -288,47 +305,32 @@ def parse_equation(text: str) -> EquationAst:
     over, so y' = y and y' - y = 0 produce the same equation.  What
     remains on the right is the forcing expression.
     """
-    try:
-        p = _Parser(text)
-        lhs_expr = p.expr()
-        p.expect("=", "'='")
-        start = p.k
-        rhs_expr = p.expr()
-        rhs_has_y = any(tok[1] == "y" for tok in p.toks[start:p.k])
-        tok = p.toks[p.k]
-        if tok[0] != "end":
-            raise ParseError("unexpected trailing input", tok[2],
-                             ("end of input",), text)
-        const, lin = _lin_value(lhs_expr)
-        if not cmath.isfinite(const):  # e.g. 0*inf from 1e308*10*y
-            raise UnsupportedForm(_LHS_OVERFLOW, getattr(lhs_expr, "pos", 0))
-        if const != 0:
-            raise UnsupportedForm("every left-hand side term must contain y",
-                                  getattr(lhs_expr, "pos", 0))
-        rhs_clean = _split_rhs(rhs_expr, lin, rhs_has_y)
-        terms = sorted(((d, c) for d, c in lin.items() if c != 0),
-                       reverse=True)
-        if not terms:
-            raise UnsupportedForm("the equation contains no y term",
-                                  getattr(lhs_expr, "pos", 0))
-        return EquationAst(tuple(terms), rhs_clean, text)
-    except EquationError as exc:
-        _fill_source(exc, text)
-        raise
+    p = _Parser(text)
+    lhs_expr = p.expr()
+    p.expect("=", "'='")
+    start = p.k
+    rhs_expr = p.expr()
+    rhs_has_y = any(tok[1] == "y" for tok in p.toks[start:p.k])
+    p.end()
+    const, lin = _lin_value(lhs_expr)
+    if not cmath.isfinite(const):  # e.g. 0*inf from 1e308*10*y
+        raise UnsupportedForm(_LHS_OVERFLOW, lhs_expr.pos)
+    if const != 0:
+        raise UnsupportedForm("every left-hand side term must contain y",
+                              lhs_expr.pos)
+    rhs_clean = _split_rhs(rhs_expr, lin, rhs_has_y)
+    terms = sorted(((d, c) for d, c in lin.items() if c != 0), reverse=True)
+    if not terms:
+        raise UnsupportedForm("the equation contains no y term", lhs_expr.pos)
+    return EquationAst(tuple(terms), rhs_clean, text)
 
 
+@_sourced
 def parse_expression(text: str) -> Expr:
-    try:
-        p = _Parser(text)
-        node = p.expr()
-        tok = p.toks[p.k]
-        if tok[0] != "end":
-            raise ParseError("unexpected trailing input", tok[2],
-                             ("end of input",), text)
-        return node
-    except EquationError as exc:
-        _fill_source(exc, text)
-        raise
+    p = _Parser(text)
+    node = p.expr()
+    p.end()
+    return node
 
 
 # ------------------------------------------------- lhs linear extraction
@@ -456,10 +458,9 @@ def _split_rhs(rhs_expr: Expr, lin: dict[int, complex], has_y: bool) -> Expr:
     def push(node: Expr, sign: int) -> None:
         nonlocal forcing
         if forcing is None:
-            forcing = node if sign > 0 else Neg(node, getattr(node, "pos", -1))
+            forcing = node if sign > 0 else Neg(node, node.pos)
         else:
-            forcing = Bin("+" if sign > 0 else "-", forcing, node,
-                          getattr(node, "pos", -1))
+            forcing = Bin("+" if sign > 0 else "-", forcing, node, node.pos)
 
     for sign, term in _additive_terms(rhs_expr):
         if has_y and _contains_y(term):
@@ -467,11 +468,11 @@ def _split_rhs(rhs_expr: Expr, lin: dict[int, complex], has_y: bool) -> Expr:
             for d, v in part.items():
                 lin[d] = lin.get(d, 0j) - sign * v
             if const != 0:
-                push(Num(complex(const), getattr(term, "pos", -1)), sign)
+                push(Num(complex(const), term.pos), sign)
         else:
             push(term, sign)
     if forcing is None:
-        return Num(0j, getattr(rhs_expr, "pos", -1))
+        return Num(0j, rhs_expr.pos)
     return forcing
 
 
@@ -491,8 +492,7 @@ def _affine(terms) -> tuple[complex, complex] | None:
 def _constant_of(terms, node: Expr, what: str = "value") -> complex:
     ab = _affine(terms)
     if ab is None or ab[0] != 0:
-        raise UnsupportedForm(f"the {what} must be a constant",
-                              getattr(node, "pos", 0))
+        raise UnsupportedForm(f"the {what} must be a constant", node.pos)
     return ab[1]
 
 
@@ -622,56 +622,44 @@ def lower_rhs(expr: Expr) -> ExpPoly:
         raise UnsupportedForm(f"arithmetic does not stay finite: {exc}", 0) from exc
 
 
+@_sourced
 def parse_exppoly(text: str) -> ExpPoly:
     """Parse and lower a standalone expression (no y allowed)."""
-    try:
-        return lower_rhs(parse_expression(text))
-    except EquationError as exc:
-        _fill_source(exc, text)
-        raise
+    return lower_rhs(parse_expression(text))
 
 
+@_sourced
 def parse_constant(text: str) -> complex:
-    f = parse_exppoly(text)
-    try:
-        return _constant_of(f.terms, Num(0j, 0), "expression")
-    except EquationError as exc:
-        _fill_source(exc, text)
-        raise
+    return _constant_of(parse_exppoly(text).terms, Num(0j, 0), "expression")
 
 
+@_sourced
 def parse_initial_conditions(text: str) -> tuple[tuple[int, float, complex], ...]:
     """Parse condition lists like "y(0)=1, y'(0)=0" or "y^(2)(1)=-2"."""
-    try:
-        p = _Parser(text)
-        out = []
-        while True:
-            _, name, pos, _ = p.expect("name", "'y'")
-            if name != "y":
-                raise ParseError("conditions must constrain y", pos,
-                                 ("'y'",), text)
-            order = p.y_suffix()
-            p.expect("(", "'('")
-            x_expr = p.expr()
-            p.expect(")", "')'")
-            p.expect("=", "'='")
-            v_expr = p.expr()
-            x0 = _constant_of(lower_rhs(x_expr).terms, x_expr, "evaluation point")
-            if abs(x0.imag) > 1e-12 * (1.0 + abs(x0)):
-                raise UnsupportedForm("the evaluation point must be real",
-                                      getattr(x_expr, "pos", 0))
-            value = _constant_of(lower_rhs(v_expr).terms, v_expr, "condition value")
-            out.append((order, float(x0.real), value))
-            kind, _, pos, _ = p.toks[p.k]
-            if kind == "end":
-                return tuple(out)
-            if kind != ",":
-                raise ParseError("expected ','", pos,
-                                 ("','", "end of input"), text)
-            p.k += 1
-    except EquationError as exc:
-        _fill_source(exc, text)
-        raise
+    p = _Parser(text)
+    out = []
+    while True:
+        _, name, pos, _ = p.expect("name", "'y'")
+        if name != "y":
+            raise ParseError("conditions must constrain y", pos, ("'y'",), text)
+        order = p.y_suffix()
+        p.expect("(", "'('")
+        x_expr = p.expr()
+        p.expect(")", "')'")
+        p.expect("=", "'='")
+        v_expr = p.expr()
+        x0 = _constant_of(lower_rhs(x_expr).terms, x_expr, "evaluation point")
+        if abs(x0.imag) > 1e-12 * (1.0 + abs(x0)):
+            raise UnsupportedForm("the evaluation point must be real",
+                                  x_expr.pos)
+        value = _constant_of(lower_rhs(v_expr).terms, v_expr, "condition value")
+        out.append((order, float(x0.real), value))
+        kind, _, pos, _ = p.toks[p.k]
+        if kind == "end":
+            return tuple(out)
+        if kind != ",":
+            raise ParseError("expected ','", pos, ("','", "end of input"), text)
+        p.k += 1
 
 
 def build_operator(ast: EquationAst) -> tuple[LinOp, ExpPoly]:
@@ -698,12 +686,9 @@ def build_operator(ast: EquationAst) -> tuple[LinOp, ExpPoly]:
         raise UnsupportedForm(f"arithmetic does not stay finite: {exc}", 0) from exc
 
 
+@_sourced
 def compile_equation(text: str) -> tuple[LinOp, ExpPoly]:
-    try:
-        return build_operator(parse_equation(text))
-    except EquationError as exc:
-        _fill_source(exc, text)
-        raise
+    return build_operator(parse_equation(text))
 
 
 # ----------------------------------------------------------- rendering
@@ -784,12 +769,8 @@ def _factored_pieces(p: Poly, suffix: str) -> list[tuple[bool, str]]:
         return []
     if len(mono) == 1:
         k, c = mono[0]
-        neg, cb = _coeff_body(c)
-        if k == 0:
-            return [(neg, suffix if cb == "1" else f"{cb}*{suffix}")]
-        xb = "x" if k == 1 else f"x^{k}"
-        head = xb if cb == "1" else f"{cb}*{xb}"
-        return [(neg, f"{head}*{suffix}")]
+        neg, head = _monomial_body(c, k, "x")
+        return [(neg, suffix if head == "1" else f"{head}*{suffix}")]
     return [(False, f"({render_poly(p)})*{suffix}")]
 
 
@@ -802,14 +783,10 @@ def _term_pieces(lam: complex, p: Poly) -> list[tuple[bool, str]]:
 def _render_trig(t: TrigForm) -> str:
     pieces: list[tuple[bool, str]] = []
     for alpha, beta, cp, sp in t.entries:
-        ef = None if alpha == 0.0 else _exp_factor(complex(alpha, 0.0))
         if beta == 0.0:
-            if ef is None:
-                pieces.extend(_monomial_body(c, k, "x")
-                              for k, c in enumerate(cp.coeffs) if c != 0)
-            else:
-                pieces.extend(_factored_pieces(cp, ef))
+            pieces.extend(_term_pieces(complex(alpha, 0.0), cp))
             continue
+        ef = None if alpha == 0.0 else _exp_factor(complex(alpha, 0.0))
         barg = "x" if beta == 1.0 else f"{_fmt_real(beta)}*x"
         for poly, fn in ((cp, "cos"), (sp, "sin")):
             if poly.is_zero:

@@ -369,6 +369,22 @@ def test_parse_error_position_and_expectations():
     assert exc.value.source == "y'' + = 0"
 
 
+@pytest.mark.parametrize("entry, text, error", [
+    (parse_equation, "x + y' = 0", UnsupportedForm),
+    (parse_expression, "x )", ParseError),
+    (parse_exppoly, "x^1.5", UnsupportedForm),
+    (parse_constant, "x", UnsupportedForm),
+    (parse_initial_conditions, "y(i)=1", UnsupportedForm),
+    (compile_equation, "y = 0", UnsupportedForm),
+])
+def test_each_entry_point_names_its_input(entry, text, error):
+    # errors found after parsing are raised without a source; the entry
+    # point that was called fills in its own input text
+    with pytest.raises(error) as exc:
+        entry(text=text)
+    assert exc.value.source == text
+
+
 def test_unexpected_character_position():
     with pytest.raises(ParseError) as exc:
         parse_expression("x + $")

@@ -41,6 +41,58 @@ def test_scripts_run():
     assert examples.returncode == 0, examples.stderr
 
 
+SOLVE_EXAMPLES_OUTPUT = """\
+equation        y'' + 2y' + y = x*exp(-x)
+char poly       1 + 2*r + r^2
+roots           -1 (m=2)
+  basis C1      exp(-x)
+  basis C2      x*exp(-x)
+wronskian(0)    1.000e+00
+particular      0.16666666666666666*x^3*exp(-x)
+residuals       symbolic 0.000e+00   pointwise 0.000e+00   ok=True
+
+equation        y'' + 4y = x
+char poly       4 + r^2
+roots           -2i (m=1), 2i (m=1)
+  basis C1      cos(2*x)
+  basis C2      sin(2*x)
+wronskian(0)    1.000e+00
+particular      0.25*x
+residuals       symbolic 0.000e+00   pointwise 0.000e+00   ok=True
+
+equation        y''' - y'' + y' - y = 0
+char poly       -1 + r - r^2 + r^3
+roots           -i (m=1), i (m=1), 1 (m=1)
+  basis C1      cos(x)
+  basis C2      sin(x)
+  basis C3      exp(x)
+wronskian(0)    2.000e+00
+residuals       symbolic 0.000e+00   pointwise 0.000e+00   ok=True
+
+equation        y'' - 2y' + 2y = exp(x)*sin(x)
+char poly       2 - 2*r + r^2
+roots           (1-i) (m=1), (1+i) (m=1)
+  basis C1      cos(x)*exp(x)
+  basis C2      sin(x)*exp(x)
+wronskian(0)    1.000e+00
+particular      -0.5*x*cos(x)*exp(x)
+residuals       symbolic 0.000e+00   pointwise 0.000e+00   ok=True
+
+equation        y'' + y = 0
+conditions      y(0)=1, y'(0)=0
+fitted          cos(x)
+max |y - cos| on 9-point grid: 0.000e+00
+residuals       symbolic 0.000e+00   pointwise 0.000e+00   ok=True
+
+"""
+
+
+def test_solve_examples_output():
+    proc = _run("scripts/solve_examples.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == SOLVE_EXAMPLES_OUTPUT
+
+
 def test_report_digest_runs(tmp_path):
     proc = _run("scripts/report_digest.py", "--workloads", "corpus",
                 "--seeds", "0")
