@@ -13,17 +13,11 @@ import math
 
 from expode import (
     NotConjugateClosed,
-    compile_equation,
-    factor_op,
     Factorization,
-    fit_initial_conditions,
     format_constant,
-    FullSolution,
-    parse_initial_conditions,
-    particular_solution,
-    real_homogeneous_solution,
     render,
     render_poly,
+    solve_equation,
     verify_solution,
     wronskian_determinant,
 )
@@ -47,20 +41,18 @@ def fmt(f):
 
 
 def show_case(text):
-    op, rhs = compile_equation(text)
-    factored = factor_op(op)
-    hom = real_homogeneous_solution(factored)
-    part = particular_solution(factored, rhs)
+    sol = solve_equation(text, real=True)
+    op, rhs, part = sol.op, sol.rhs, sol.particular
 
     print(f"equation        {text}")
     print(f"char poly       {render_poly(op.char_poly(), 'r')}")
     roots = ", ".join(f"{format_constant(r)} (m={m})"
-                      for r, m in Factorization(factored.factors).pairs)
+                      for r, m in Factorization(sol.factored.factors).pairs)
     print(f"roots           {roots}")
-    for name, b in zip(hom.constants, hom.basis):
+    for name, b in zip(sol.homogeneous.constants, sol.basis):
         print(f"  basis {name}      {fmt(b)}")
     # row-normalized Wronskian at 0, certifies independence
-    print(f"wronskian(0)    {wronskian_determinant(hom.basis):.3e}")
+    print(f"wronskian(0)    {wronskian_determinant(sol.basis):.3e}")
     if not rhs.is_zero:
         print(f"particular      {fmt(part)}")
     rep = verify_solution(op, rhs, part)
@@ -70,18 +62,15 @@ def show_case(text):
 
 
 def show_ivp(text, conditions):
-    op, rhs = compile_equation(text)
-    factored = factor_op(op)
-    sol = FullSolution(real_homogeneous_solution(factored),
-                       particular_solution(factored, rhs))
-    fitted = fit_initial_conditions(sol, parse_initial_conditions(conditions))
+    sol = solve_equation(text, real=True, ivp=conditions)
+    fitted = sol.fitted
     print(f"equation        {text}")
     print(f"conditions      {conditions}")
     print(f"fitted          {fmt(fitted)}")
     xs = [-math.pi + k * math.pi / 4 for k in range(9)]
     err = max(abs(fitted(x) - math.cos(x)) for x in xs)
     print(f"max |y - cos| on 9-point grid: {err:.3e}")
-    rep = verify_solution(op, rhs, fitted)
+    rep = verify_solution(sol.op, sol.rhs, fitted)
     print(f"residuals       symbolic {rep.symbolic:.3e}   "
           f"pointwise {rep.pointwise:.3e}   ok={rep.within()}")
     print()

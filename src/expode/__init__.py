@@ -49,12 +49,14 @@ from .solve import (
     FullSolution,
     HomogeneousSolution,
     SingularSystem,
+    SolveReport,
     VerifyReport,
     ansatz_form,
     fit_initial_conditions,
     homogeneous_solution,
     particular_solution,
     real_homogeneous_solution,
+    solve_equation,
     verify_solution,
     wronskian_determinant,
 )
@@ -79,6 +81,7 @@ __all__ = [
     "ParseError",
     "Poly",
     "SingularSystem",
+    "SolveReport",
     "TrigForm",
     "UnknownOnRhs",
     "UnsupportedForm",
@@ -105,6 +108,7 @@ __all__ = [
     "real_homogeneous_solution",
     "render",
     "render_poly",
+    "solve_equation",
     "verify_solution",
     "wronskian_determinant",
     "__version__",

@@ -17,30 +17,18 @@ import argparse
 import json
 import sys
 
-from .cpoly import Factorization, NonConvergence, coefficients_match
-from .exppoly import ExpPoly, NotConjugateClosed
-from .operators import FactoredOp, LinOp, factor_op
+from .cpoly import Factorization, NonConvergence
+from .exppoly import NotConjugateClosed
 from .parsing import (
     EquationError,
     ParseError,
     compile_equation,
     format_constant,
-    parse_constant,
     parse_exppoly,
-    parse_initial_conditions,
     render,
     render_poly,
 )
-from .solve import (
-    FullSolution,
-    SingularSystem,
-    VerifyReport,
-    fit_initial_conditions,
-    homogeneous_solution,
-    particular_solution,
-    real_homogeneous_solution,
-    verify_solution,
-)
+from .solve import SingularSystem, VerifyReport, solve_equation, verify_solution
 
 RESIDUAL_TOL = 1e-8
 
@@ -68,30 +56,6 @@ def _c_times(name: str, body: str) -> str:
     return f"{name}*{body}"
 
 
-def _factored_from_user(op: LinOp, text: str) -> FactoredOp:
-    """Validate user-supplied 'root:mult, ...' against the operator."""
-    pairs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        root_text, sep, mult_text = chunk.rpartition(":")
-        if not sep or not root_text.strip():
-            raise ValueError(
-                f"--roots entries look like 'root:multiplicity', got {chunk!r}")
-        root = parse_constant(root_text.strip())
-        try:
-            mult = int(mult_text.strip())
-        except ValueError:
-            raise ValueError(f"bad multiplicity in {chunk!r}") from None
-        pairs.append((root, mult))
-    factored = FactoredOp(tuple(pairs))
-    if factored.order != op.order:
-        raise ValueError("--roots multiplicities must sum to the operator order")
-    if not coefficients_match(factored.char_poly(), op.char_poly()):
-        raise ValueError(
-            "--roots does not reproduce the characteristic polynomial")
-    return factored
-
-
 def _verdict(worst: VerifyReport, doc: dict | None) -> int:
     """Decide "verified" from the largest residuals, print them and the
     status as the last keys of doc (--json) or, without one, as the last
@@ -111,38 +75,17 @@ def _verdict(worst: VerifyReport, doc: dict | None) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    op, rhs = compile_equation(args.equation)
-    if args.roots is not None:
-        factored = _factored_from_user(op, args.roots)
-    else:
-        factored = factor_op(op)
-    pairs = Factorization(factored.factors).pairs
+    res = solve_equation(args.equation, real=args.real, ivp=args.ivp,
+                         roots=args.roots, points=args.verify_points)
+    op, hom, part, fitted = res.op, res.homogeneous, res.particular, res.fitted
+    pairs = Factorization(res.factored.factors).pairs
 
-    hom = homogeneous_solution(factored)
-    display_basis = (real_homogeneous_solution(factored).basis
-                     if args.real else hom.basis)
-    part = particular_solution(factored, rhs)
-
-    reports = [verify_solution(op, ExpPoly.zero(), b, points=args.verify_points)
-               for b in display_basis]
-    reports.append(verify_solution(op, rhs, part, points=args.verify_points))
-
-    fitted = None
-    if args.ivp is not None:
-        conditions = parse_initial_conditions(args.ivp)
-        fitted = fit_initial_conditions(FullSolution(hom, part), conditions)
-        reports.append(verify_solution(op, rhs, fitted,
-                                       points=args.verify_points))
-
-    worst = VerifyReport(max(r.symbolic for r in reports),
-                         max(r.pointwise for r in reports))
-
-    basis_text = [render(b, realify=args.real) for b in display_basis]
+    basis_text = [render(b, realify=args.real) for b in res.basis]
     part_text = render(part, realify=args.real)
     fitted_text = None if fitted is None else render(fitted, realify=args.real)
 
     if args.json:
-        return _verdict(worst, {
+        return _verdict(res.residuals, {
             "equation": args.equation,
             "char_poly": [_fcomplex(c) for c in op.char_poly().coeffs],
             "roots": [_fcomplex(r) for r, _ in pairs],
@@ -169,7 +112,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"general solution: {combo}")
     if fitted_text is not None:
         print(f"fitted solution: {fitted_text}")
-    return _verdict(worst, None)
+    return _verdict(res.residuals, None)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -17,8 +17,9 @@ import math
 
 from .exppoly import EXP_MERGE_TOL, ExpPoly, NotConjugateClosed
 from .cpoly import (Factorization, NonConvergence, Poly, Record,
-                    _conjugate_pairs, monomial)
-from .operators import FactoredOp, LinOp
+                    _conjugate_pairs, coefficients_match, monomial)
+from .operators import FactoredOp, LinOp, factor_op
+from .parsing import compile_equation, parse_constant, parse_initial_conditions
 
 
 MAX_VERIFY_POINTS = 10_000  # the grid is held in lists
@@ -261,3 +262,65 @@ def wronskian_determinant(basis, x0: float = 0.0) -> float:
     except SingularSystem:
         return 0.0
     return abs(det)
+
+
+class SolveReport(Record):
+    """One solve's results: homogeneous is the complex basis, which the fit
+    uses; basis is the real one when asked for; residuals the worst check."""
+
+    def __init__(self, op: LinOp, rhs: ExpPoly, factored: FactoredOp,
+                 homogeneous: HomogeneousSolution, basis: tuple[ExpPoly, ...],
+                 particular: ExpPoly, fitted: ExpPoly | None,
+                 residuals: VerifyReport):
+        self.__dict__.update(op=op, rhs=rhs, factored=factored,
+                             homogeneous=homogeneous, basis=basis,
+                             particular=particular, fitted=fitted,
+                             residuals=residuals)
+
+
+def _factored_from_user(op: LinOp, text: str) -> FactoredOp:
+    """Validate user-supplied 'root:mult, ...' against the operator."""
+    pairs = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        root_text, sep, mult_text = chunk.rpartition(":")
+        if not sep or not root_text.strip():
+            raise ValueError(
+                f"--roots entries look like 'root:multiplicity', got {chunk!r}")
+        root = parse_constant(root_text.strip())
+        try:
+            mult = int(mult_text.strip())
+        except ValueError:
+            raise ValueError(f"bad multiplicity in {chunk!r}") from None
+        pairs.append((root, mult))
+    factored = FactoredOp(tuple(pairs))
+    if factored.order != op.order:
+        raise ValueError("--roots multiplicities must sum to the operator order")
+    if not coefficients_match(factored.char_poly(), op.char_poly()):
+        raise ValueError(
+            "--roots does not reproduce the characteristic polynomial")
+    return factored
+
+
+def solve_equation(equation: str, real: bool = False, ivp: str | None = None,
+                   roots: str | None = None, points: int = 50) -> SolveReport:
+    """Solve an equation given as text and verify the answer.  The stages
+    run in this order, so the first failure raises: compile; check `roots`
+    or factor; basis; particular; verify them; parse `ivp`, fit, verify."""
+    op, rhs = compile_equation(equation)
+    factored = (factor_op(op) if roots is None
+                else _factored_from_user(op, roots))
+    hom = homogeneous_solution(factored)
+    basis = real_homogeneous_solution(factored).basis if real else hom.basis
+    part = particular_solution(factored, rhs)
+    reports = [verify_solution(op, ExpPoly.zero(), b, points=points)
+               for b in basis]
+    reports.append(verify_solution(op, rhs, part, points=points))
+    fitted = None
+    if ivp is not None:
+        conditions = parse_initial_conditions(ivp)
+        fitted = fit_initial_conditions(FullSolution(hom, part), conditions)
+        reports.append(verify_solution(op, rhs, fitted, points=points))
+    worst = VerifyReport(max(r.symbolic for r in reports),
+                         max(r.pointwise for r in reports))
+    return SolveReport(op, rhs, factored, hom, basis, part, fitted, worst)

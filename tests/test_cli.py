@@ -258,7 +258,7 @@ def test_user_roots_validated_against_equation(capsys):
 def test_nonconvergence_exits_3(monkeypatch, capsys):
     def boom(op):
         raise NonConvergence("stuck")
-    monkeypatch.setattr("expode.cli.factor_op", boom)
+    monkeypatch.setattr("expode.solve.factor_op", boom)
     assert main(["solve", "y'' - y = 0"]) == 3
     assert "stuck" in capsys.readouterr().err
 
@@ -266,9 +266,29 @@ def test_nonconvergence_exits_3(monkeypatch, capsys):
 def test_singular_system_exits_3(monkeypatch, capsys):
     def boom(solution, conditions):
         raise SingularSystem("degenerate")
-    monkeypatch.setattr("expode.cli.fit_initial_conditions", boom)
+    monkeypatch.setattr("expode.solve.fit_initial_conditions", boom)
     assert main(["solve", "y' - y = 0", "--ivp", "y(0)=1"]) == 3
     assert "degenerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (["solve", "y'' + = y", "--roots", "bad"], "expected a value"),
+    (["solve", "y'' + y = 0", "--roots", "bad", "--ivp", "nonsense"],
+     "--roots entries look like 'root:multiplicity', got 'bad'"),
+    (["solve", "y'' + y = 0", "--ivp", "nonsense", "--verify-points", "1"],
+     "need at least 2 sample points"),
+    (["solve", "y'' + 2*i*y = 0", "--real", "--ivp", "nonsense"],
+     "no conjugate partner"),
+    (["solve", "y'' + y = 0", "--roots", "i:1, -i:1", "--ivp", "y(0)=1"],
+     "need exactly 2 initial conditions"),
+])
+def test_first_failing_stage_decides_the_error(capsys, argv, first_line):
+    # the stages run compile, roots or factor, basis, particular, verify,
+    # conditions; each input but the last is bad for two of them, and the
+    # earlier one names the error; the last fits user roots to one condition
+    assert main(argv) == 2
+    line = capsys.readouterr().err.splitlines()[0]
+    assert line.startswith("error: ") and first_line in line
 
 
 def test_bad_ivp_count_exits_2(capsys):
