@@ -109,7 +109,8 @@ class EquationAst(Record):
 
 # ---------------------------------------------------------------- tokens
 
-_FUNCTIONS = ("exp", "sin", "cos")
+_FOLD = {"exp": cmath.exp, "sin": cmath.sin, "cos": cmath.cos}
+_NAMES = ("'x'", "'y'", "'i'", "'exp'", "'sin'", "'cos'")
 _MAX_POWER = 100  # largest derivative order and '^' exponent accepted
 # Parentheses, unary signs and '^' nest at most this deep, well within the
 # interpreter's recursion limit; '+', '-', '*' and '/' chains are walked in
@@ -138,8 +139,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int, complex]]:
             imag = num[-1] == "i"
             val = float(num[:-1] if imag else num)
             if not math.isfinite(val):
-                raise ParseError("number literal out of range", pos,
-                                 ("number",), text)
+                raise ParseError("number literal out of range", pos, ("number",))
             toks.append(("num", num, pos,
                          complex(0.0, val) if imag else complex(val, 0.0)))
             pos += len(num)
@@ -148,7 +148,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int, complex]]:
             pos += len(word)
         else:
             raise ParseError(f"unexpected character {bad!r}", pos,
-                             ("number", "name", "operator"), text)
+                             ("number", "name", "operator"))
     toks.append(("end", "", len(text), 0j))
     return toks
 
@@ -157,7 +157,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int, complex]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.k = 0  # the next token; never moves past the 'end' token
         self.depth = 0  # nesting levels open
@@ -165,19 +164,18 @@ class _Parser:
     def expect(self, kind: str, what: str) -> tuple:
         tok = self.toks[self.k]
         if tok[0] != kind:
-            raise ParseError(f"expected {what}", tok[2], (what,), self.text)
+            raise ParseError(f"expected {what}", tok[2], (what,))
         self.k += 1
         return tok
 
     def end(self) -> None:
         tok = self.toks[self.k]
         if tok[0] != "end":
-            raise ParseError("unexpected trailing input", tok[2],
-                             ("end of input",), self.text)
+            raise ParseError("unexpected trailing input", tok[2], ("end of input",))
 
     def nest(self, pos: int) -> None:
         if self.depth == _MAX_NESTING:
-            raise ParseError("expression nests too deeply", pos, (), self.text)
+            raise ParseError("expression nests too deeply", pos)
         self.depth += 1
 
     def expr(self) -> Expr:
@@ -189,9 +187,9 @@ class _Parser:
             tok = self.toks[self.k]
         if tok[0] in ("num", "name", "("):
             raise ParseError("missing '*' (implicit multiplication is not allowed)",
-                             tok[2], ("'*'", "'+'", "'-'"), self.text)
+                             tok[2], ("'*'", "'+'", "'-'"))
         if tok[0] == "prime":
-            raise ParseError("' may only follow y", tok[2], ("'*'",), self.text)
+            raise ParseError("' may only follow y", tok[2], ("'*'",))
         return node
 
     def term(self) -> Expr:
@@ -253,14 +251,10 @@ class _Parser:
                 return VarX(pos)
             if name == "i":
                 return Num(1j, pos)
-            if name in _FUNCTIONS:
+            if name in _FOLD:
                 return Call(name, self.group(self.expect("(", "'('")[2]), pos)
-            raise ParseError(f"unknown name {name!r}", pos,
-                             ("'x'", "'y'", "'i'", "'exp'", "'sin'", "'cos'"),
-                             self.text)
-        raise ParseError("expected a value", pos,
-                         ("number", "'x'", "'y'", "'i'", "'exp'", "'sin'",
-                          "'cos'", "'('"), self.text)
+            raise ParseError(f"unknown name {name!r}", pos, _NAMES)
+        raise ParseError("expected a value", pos, ("number", *_NAMES, "'('"))
 
     def y_suffix(self) -> int:
         """Derivative order right after a 'y': primes or '^(k)'."""
@@ -277,7 +271,7 @@ class _Parser:
             _, _, pos, v = toks[k + 2]
             if v.imag != 0 or v.real != int(v.real) or v.real < 0:
                 raise ParseError("derivative order must be a nonnegative integer",
-                                 pos, ("integer",), self.text)
+                                 pos, ("integer",))
             self.k = k + 4
             return int(v.real)
         return 0
@@ -285,7 +279,7 @@ class _Parser:
 
 def _sourced(entry):
     """Entry point whose EquationErrors carry its input text as their
-    source, unless a nested entry point or the parser has set one."""
+    source, unless a nested entry point has set one (nothing else does)."""
     @functools.wraps(entry)
     def wrapper(text):
         try:
@@ -335,7 +329,6 @@ def parse_expression(text: str) -> Expr:
 
 # ------------------------------------------------- lhs linear extraction
 
-_FOLD = {"exp": cmath.exp, "sin": cmath.sin, "cos": cmath.cos}
 _LHS_OVERFLOW = "arithmetic does not stay finite on the left-hand side"
 
 
@@ -641,7 +634,7 @@ def parse_initial_conditions(text: str) -> tuple[tuple[int, float, complex], ...
     while True:
         _, name, pos, _ = p.expect("name", "'y'")
         if name != "y":
-            raise ParseError("conditions must constrain y", pos, ("'y'",), text)
+            raise ParseError("conditions must constrain y", pos, ("'y'",))
         order = p.y_suffix()
         p.expect("(", "'('")
         x_expr = p.expr()
@@ -658,7 +651,7 @@ def parse_initial_conditions(text: str) -> tuple[tuple[int, float, complex], ...
         if kind == "end":
             return tuple(out)
         if kind != ",":
-            raise ParseError("expected ','", pos, ("','", "end of input"), text)
+            raise ParseError("expected ','", pos, ("','", "end of input"))
         p.k += 1
 
 
@@ -737,46 +730,36 @@ def _join_signed(pieces) -> str:
     return out
 
 
+def _poly_pieces(p: Poly, var: str) -> list[tuple[bool, str]]:
+    """The signed monomials of p, ascending powers."""
+    return [_monomial_body(c, k, var) for k, c in enumerate(p.coeffs) if c != 0]
+
+
 def render_poly(p: Poly, var: str = "x") -> str:
     """Plain polynomial text, ascending powers."""
-    return _join_signed(
-        _monomial_body(c, k, var) for k, c in enumerate(p.coeffs) if c != 0)
+    return _join_signed(_poly_pieces(p, var))
 
 
 def format_constant(z: complex) -> str:
     """One complex number in the same notation the parser accepts."""
-    neg, body = _coeff_body(z)
-    return ("-" if neg else "") + body
+    return _join_signed([_coeff_body(z)])
 
 
 def _exp_factor(lam: complex) -> str:
-    if lam == 1:
-        return "exp(x)"
-    if lam == -1:
-        return "exp(-x)"
-    if lam.imag == 0.0:
-        return f"exp({_fmt_real(lam.real)}*x)"
-    if lam.real == 0.0:
-        sign = "-" if lam.imag < 0 else ""
-        return f"exp({sign}{_imag_body(abs(lam.imag))}*x)"
-    _, body = _coeff_body(lam)
-    return f"exp({body}*x)"
+    return f"exp({_join_signed([_monomial_body(lam, 1, 'x')])})"
 
 
 def _factored_pieces(p: Poly, suffix: str) -> list[tuple[bool, str]]:
-    mono = [(k, c) for k, c in enumerate(p.coeffs) if c != 0]
-    if not mono:
-        return []
+    mono = _poly_pieces(p, "x")
     if len(mono) == 1:
-        k, c = mono[0]
-        neg, head = _monomial_body(c, k, "x")
+        neg, head = mono[0]
         return [(neg, suffix if head == "1" else f"{head}*{suffix}")]
-    return [(False, f"({render_poly(p)})*{suffix}")]
+    return [(False, f"({_join_signed(mono)})*{suffix}")] if mono else []
 
 
 def _term_pieces(lam: complex, p: Poly) -> list[tuple[bool, str]]:
     if lam == 0:
-        return [_monomial_body(c, k, "x") for k, c in enumerate(p.coeffs) if c != 0]
+        return _poly_pieces(p, "x")
     return _factored_pieces(p, _exp_factor(lam))
 
 
@@ -787,7 +770,7 @@ def _render_trig(t: TrigForm) -> str:
             pieces.extend(_term_pieces(complex(alpha, 0.0), cp))
             continue
         ef = None if alpha == 0.0 else _exp_factor(complex(alpha, 0.0))
-        barg = "x" if beta == 1.0 else f"{_fmt_real(beta)}*x"
+        barg = _monomial_body(beta, 1, "x")[1]  # beta > 0
         for poly, fn in ((cp, "cos"), (sp, "sin")):
             if poly.is_zero:
                 continue

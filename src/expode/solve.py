@@ -209,7 +209,8 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
 
     The symbolic residual is the largest coefficient of L[y] - f; the
     pointwise residual samples the same difference on a uniform grid.  Both
-    are scaled by the size of f, so 'verified' means small relative error.
+    are divided by 1 + |f|, so for a small f (f = 0 for a basis element)
+    'verified' bounds an absolute error, whatever the size of y.
     The grid is evaluated term by term (ExpPoly.values), which gives the
     same bits as evaluating it point by point.  Raises NonConvergence when
     L[y] - f or a sampled value overflows, naming the first grid point that

@@ -14,6 +14,7 @@ from expode import (EXP_MERGE_TOL, ExpPoly, FactoredOp, HomogeneousSolution,
                     NotConjugateClosed, Poly, TrigForm, coeff_distance,
                     monomial)
 from expode.exppoly import COEFF_CLEAN_REL, _conjugate_poly, _real_poly
+from expode.parsing import _coeff_body, _fmt_real, _imag_body
 
 # exponent grid for function-space properties
 GRID = (0j, 1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j, 1j, -1j, 1 + 1j, 1 - 1j)
@@ -234,6 +235,48 @@ def real_homogeneous_reference(factored):
             basis.append((plus - minus).scale(complex(0.0, -0.5)))
     constants = tuple(f"C{k + 1}" for k in range(len(basis)))
     return HomogeneousSolution(tuple(basis), constants)
+
+
+# doubles where the renderer's branches meet: signed zeros, units, the
+# integer cutoff 1e16, subnormals and the top of the range
+RENDER_SPECIALS = (0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5,
+                   9999999999999998.0, 1e16, 1e16 + 2.0, -1e16,
+                   5e-324, -5e-324, 2.2250738585072014e-308,
+                   1.7e308, -1.7e308, 1e-13, 123456.789)
+render_floats = st.one_of(
+    st.sampled_from(RENDER_SPECIALS),
+    st.floats(allow_nan=False, allow_infinity=False))
+render_complex = st.builds(complex, render_floats, render_floats)
+
+
+def format_constant_reference(z: complex) -> str:
+    """parsing.format_constant as it was written before it went through
+    _join_signed."""
+    neg, body = _coeff_body(z)
+    return ("-" if neg else "") + body
+
+
+def exp_factor_reference(lam: complex) -> str:
+    """parsing._exp_factor as it was written before it went through
+    _monomial_body: one branch for each of +-1, real, imaginary and
+    complex exponents."""
+    if lam == 1:
+        return "exp(x)"
+    if lam == -1:
+        return "exp(-x)"
+    if lam.imag == 0.0:
+        return f"exp({_fmt_real(lam.real)}*x)"
+    if lam.real == 0.0:
+        sign = "-" if lam.imag < 0 else ""
+        return f"exp({sign}{_imag_body(abs(lam.imag))}*x)"
+    _, body = _coeff_body(lam)
+    return f"exp({body}*x)"
+
+
+def trig_argument_reference(beta: float) -> str:
+    """The argument parsing._render_trig gave cos and sin for beta > 0
+    before it went through _monomial_body."""
+    return "x" if beta == 1.0 else f"{_fmt_real(beta)}*x"
 
 
 def random_poly(rng: random.Random, max_degree: int = 4) -> Poly:

@@ -122,6 +122,40 @@ GOLDEN_SINE_IVP = """\
 }
 """
 
+GOLDEN_FORCED_IVP = """\
+equation: y'' + y = x
+characteristic polynomial: 1 + r^2
+roots:
+  -i  (multiplicity 1)
+  i  (multiplicity 1)
+homogeneous basis:
+  exp(-i*x)
+  exp(i*x)
+particular solution: x
+general solution: C1*exp(-i*x) + C2*exp(i*x) + x
+fitted solution: (0.5-0.5i)*exp(-i*x) + x + (0.5+0.5i)*exp(i*x)
+residual (symbolic): 0.000e+00
+residual (pointwise): 0.000e+00
+status: verified
+"""
+
+GOLDEN_FORCED_IVP_REAL = """\
+equation: y'' + y = x
+characteristic polynomial: 1 + r^2
+roots:
+  -i  (multiplicity 1)
+  i  (multiplicity 1)
+homogeneous basis:
+  cos(x)
+  sin(x)
+particular solution: x
+general solution: C1*cos(x) + C2*sin(x) + x
+fitted solution: x + cos(x) - sin(x)
+residual (symbolic): 0.000e+00
+residual (pointwise): 0.000e+00
+status: verified
+"""
+
 GOLDENS = [
     (["solve", "y'' - 2y' + y = 0", "--json"], GOLDEN_REPEATED_ROOT),
     (["solve", "y' - y = exp(x)", "--json"], GOLDEN_RESONANT_FORCING),
@@ -144,6 +178,18 @@ def test_golden_reports_are_deterministic(capsys, argv, expected):
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first == expected
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ([], GOLDEN_FORCED_IVP),
+    (["--real"], GOLDEN_FORCED_IVP_REAL),
+], ids=["complex", "real"])
+def test_golden_text_reports(capsys, flags, expected):
+    # the JSON goldens above are also acceptance criterion 9's; these two
+    # are the text reports, with the fitted solution line
+    assert main(["solve", "y'' + y = x", "--ivp", "y(0)=1, y'(0)=0",
+                 *flags]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_solve_json_schema(capsys):
@@ -253,6 +299,8 @@ def test_user_roots_validated_against_equation(capsys):
     assert "sum to the operator order" in capsys.readouterr().err
     assert main(["solve", "y'' - y = 0", "--roots", "nope"]) == 2
     capsys.readouterr()
+    assert main(["solve", "y'' - y = 0", "--roots", "1:x, -1:1"]) == 2
+    assert capsys.readouterr().err == "error: bad multiplicity in '1:x'\n"
 
 
 def test_nonconvergence_exits_3(monkeypatch, capsys):

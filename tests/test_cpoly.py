@@ -116,6 +116,13 @@ def test_from_pairs_rejects_near_duplicates():
         Factorization.from_pairs([(0j, 1), (1e-9 + 0j, 1)])
 
 
+def test_from_pairs_accepts_separated_roots():
+    f = Factorization.from_pairs([(1j, 1), (0j, 2), (-1j, 1)], 2.0)
+    assert f == Factorization(((-1j, 1), (0j, 2), (1j, 1)), 2.0)
+    assert repr(f) == ("Factorization(pairs=(((-0-1j), 1), (0j, 2), "
+                       "(1j, 1)), leading=(2+0j))")
+
+
 def test_coefficients_match_tolerances():
     p = Poly([1, 1])
     assert coefficients_match(p, Poly([1 + 1e-10, 1]))

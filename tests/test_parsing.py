@@ -33,7 +33,9 @@ from expode import (
     render_poly,
 )
 from expode.parsing import Bin, Call, Neg, Num, VarX, YTerm
-from strategies import ep_close, exppolys
+from strategies import (ep_close, exp_factor_reference, exppolys,
+                        format_constant_reference, render_complex,
+                        render_floats, trig_argument_reference)
 
 
 def eval_ast(node, x):
@@ -375,10 +377,11 @@ def test_parse_error_position_and_expectations():
     (parse_exppoly, "x^1.5", UnsupportedForm),
     (parse_constant, "x", UnsupportedForm),
     (parse_initial_conditions, "y(i)=1", UnsupportedForm),
+    (parse_initial_conditions, "y(0)=1)", ParseError),
     (compile_equation, "y = 0", UnsupportedForm),
 ])
 def test_each_entry_point_names_its_input(entry, text, error):
-    # errors found after parsing are raised without a source; the entry
+    # errors are raised without a source, in the parser too; the entry
     # point that was called fills in its own input text
     with pytest.raises(error) as exc:
         entry(text=text)
@@ -598,6 +601,31 @@ FRONT_END_PINS = [
     ("y' = x*y",
      ('UnsupportedForm',
       'x may only appear in the forcing part of the equation', 5)),
+    ("y^1 + y' = 0",
+     "EquationAst(lhs=((1, (1+0j)), (0, (1+0j))), rhs=Num(value=0j, "
+     'pos=11), text="y^1 + y\' = 0")',
+     '(LinOp(coeffs=((1+0j),)), ExpPoly(terms=()))'),
+    ("2^3*y' + y = 0",
+     "EquationAst(lhs=((1, (8+0j)), (0, (1+0j))), rhs=Num(value=0j, "
+     'pos=13), text="2^3*y\' + y = 0")',
+     '(LinOp(coeffs=((0.125+0j),)), ExpPoly(terms=()))'),
+    ("y'/0 = 1", ('UnsupportedForm', 'division by zero', 2)),
+    ("y' = 2*(-y) + 1",
+     "EquationAst(lhs=((1, (1+0j)), (0, (2+0j))), rhs=Num(value=(1+0j), "
+     'pos=14), text="y\' = 2*(-y) + 1")',
+     '(LinOp(coeffs=((2+0j),)), ExpPoly(terms=((0j, '
+     'Poly(coeffs=((1+0j),))),)))'),
+    ("y' = exp(1000)",
+     ('UnsupportedForm', 'cannot fold constant: math range error', 5)),
+    ("y' = 0^(-1)",
+     ('UnsupportedForm',
+      'cannot fold constant power: 0.0 to a negative or complex power', 6)),
+    ('y^(1.5) = 0',
+     ('ParseError', 'derivative order must be a nonnegative integer', 3)),
+    ("1e-300*y' + 1e300*y = 0",
+     ('UnsupportedForm',
+      'arithmetic does not stay finite: operator coefficients must be '
+      'finite', 0)),
 ]
 
 
@@ -700,6 +728,21 @@ def test_format_constant():
     assert format_constant(-2j) == "-2i"
     assert format_constant(1 + 1j) == "(1+i)"
     assert format_constant(-1.5 - 2j) == "(-1.5-2i)"
+
+
+@settings(max_examples=500)
+@given(z=render_complex)
+def test_exp_factor_and_constant_match_their_old_branches(z):
+    assert expode.parsing._exp_factor(z) == exp_factor_reference(z)
+    assert format_constant(z) == format_constant_reference(z)
+
+
+@settings(max_examples=300)
+@given(beta=render_floats.filter(lambda b: b > 0))
+def test_trig_argument_matches_its_old_branch(beta):
+    # entries of a TrigForm with a cos or sin part have beta > 0
+    got = expode.parsing._monomial_body(beta, 1, "x")[1]
+    assert got == trig_argument_reference(beta)
 
 
 @given(f=exppolys)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from expode import (
     ExpPoly,
     FactoredOp,
+    Factorization,
     FullSolution,
     LinOp,
     NotConjugateClosed,
@@ -19,8 +20,10 @@ from expode import (
     ansatz_form,
     compile_equation,
     factor_op,
+    find_roots,
     fit_initial_conditions,
     homogeneous_solution,
+    monomial,
     particular_solution,
     real_homogeneous_solution,
     render,
@@ -335,3 +338,25 @@ def test_wronskian_of_dependent_set_vanishes():
 def test_wronskian_nonsingular_for_solution_bases(fac):
     hom = homogeneous_solution(fac)
     assert wronskian_determinant(hom.basis) > 1e-9
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: monomial(-1), "power must be nonnegative"),
+    (lambda: Factorization(((complex(math.inf, 0.0), 1),)),
+     "roots must be finite"),
+    (lambda: Factorization(((1.0, 1),), 0.0),
+     "leading coefficient must be finite and nonzero"),
+    (lambda: find_roots(Poly((1.0, 1.0)), -1.0),
+     "cluster_tol must be nonnegative"),
+    (lambda: LinOp(()), "operator order must be >= 1"),
+    (lambda: LinOp((math.inf,)), "operator coefficients must be finite"),
+    (lambda: ExpPoly.term(1.0, Poly((1.0,))).nth_antiderivative(0),
+     "m must be >= 1"),
+    (lambda: wronskian_determinant([]), "basis must be nonempty"),
+], ids=["monomial", "infinite-root", "zero-leading", "negative-cut",
+        "empty-operator", "infinite-operator", "antiderivative-0",
+        "empty-basis"])
+def test_library_input_checks(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
