@@ -163,6 +163,26 @@ class ExpPoly(Record):
             out.append((lam, p.scale(lam) + p.derivative()))
         return ExpPoly._trusted(out)
 
+    def _inverse(self, factors) -> ExpPoly:
+        """Solve prod (D - r)^mult y = self with no kernel part in y: each term
+        e^(lam*x) q is back-substituted through the roots farther than
+        EXP_MERGE_TOL from lam, then integrated once per multiplicity within."""
+        out = []
+        for lam, q in self.terms:
+            w, resonance = list(q.coeffs), 0
+            for r, mult in factors:
+                if abs(lam - r) <= EXP_MERGE_TOL:
+                    resonance += mult
+                    continue
+                for _ in range(mult):
+                    above = 0j
+                    for k in range(len(w) - 1, -1, -1):
+                        w[k] = above = (w[k] - (k + 1) * above) / (lam - r)
+            for _ in range(resonance):
+                w = [0j] + [c / (k + 1) for k, c in enumerate(w)]
+            out.append((lam, Poly._trusted(tuple(w))))
+        return ExpPoly._trusted(out)
+
     def antiderivative(self) -> ExpPoly:
         """One antiderivative with every integration constant set to zero.
 
@@ -175,18 +195,7 @@ class ExpPoly(Record):
         raises the degree by one; that degree jump is precisely what
         resonance means downstream.
         """
-        out = []
-        for lam, p in self.terms:
-            if abs(lam) <= EXP_MERGE_TOL:
-                shifted = (0j,) + tuple(c / (k + 1) for k, c in enumerate(p.coeffs))
-                out.append((lam, Poly._trusted(shifted)))
-            else:
-                q = [0j] * len(p.coeffs)
-                q[-1] = p.coeffs[-1] / lam
-                for k in range(len(p.coeffs) - 2, -1, -1):
-                    q[k] = (p.coeffs[k] - (k + 1) * q[k + 1]) / lam
-                out.append((lam, Poly._trusted(tuple(q))))
-        return ExpPoly._trusted(out)
+        return self._inverse(((0j, 1),))
 
     def nth_antiderivative(self, m: int) -> ExpPoly:
         if m < 1:

@@ -87,9 +87,9 @@ class FactoredOp(Record):
         return sum(m for _, m in self.factors)
 
     def multiplicity(self, lam: complex) -> int:
-        """Multiplicity of lam as a root within EXP_MERGE_TOL, 0 when none."""
-        return next((m for r, m in self.factors
-                     if abs(lam - r) <= EXP_MERGE_TOL), 0)
+        """Total multiplicity of the roots within EXP_MERGE_TOL of lam, 0 when
+        none: they count together as lam, as in the particular solution."""
+        return sum(m for r, m in self.factors if abs(lam - r) <= EXP_MERGE_TOL)
 
     def char_poly(self) -> Poly:
         return Factorization(self.factors).expand()

@@ -2,12 +2,12 @@
 
 The homogeneous basis comes straight from the factored operator: each root r
 of multiplicity m contributes x^l * e^(r*x) for l = 0..m-1.  A particular
-solution is built one forcing term e^(lam*x) q at a time.  If lam is a root
-of multiplicity m (m = 0 off resonance), the exponential shift gives
-P(lam + D) = D^m Q(D), Q(t) being the product of (t + lam - r)^mult over the
-other roots r, so e^(lam*x) I_m[Q(D)^-1 q] solves it, where I_m integrates
-m times with every constant dropped.  No power below x^m appears, so the
-result has no part in the homogeneous span.
+solution is built one forcing term e^(lam*x) q at a time.  The roots within
+EXP_MERGE_TOL of lam count together as lam, m being their total multiplicity
+(m = 0 off resonance): the exponential shift gives P(lam + D) = D^m Q(D), Q(t)
+being the product of (t + lam - r)^mult over the other roots r, so
+e^(lam*x) I_m[Q(D)^-1 q] solves it, I_m integrating m times with every
+constant dropped.  No power below x^m appears, so y has no kernel part.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import cmath
 import math
 
 from .exppoly import EXP_MERGE_TOL, ExpPoly, NotConjugateClosed
-from .cpoly import (Factorization, NonConvergence, Poly, Record,
+from .cpoly import (Factorization, NonConvergence, Record,
                     _conjugate_pairs, coefficients_match, monomial)
 from .operators import FactoredOp, LinOp, factor_op
 from .parsing import compile_equation, parse_constant, parse_initial_conditions
@@ -44,9 +44,9 @@ class FullSolution(Record):
 class AnsatzForm(Record):
     """Predicted shape of the particular solution for f = e^(b*x) * x^j.
 
-    resonance_order is the multiplicity of b as a root of the operator (zero
-    when b is no root).  The polynomial part of the solution has degree
-    j + resonance_order exactly, with all powers below resonance_order
+    resonance_order is the total multiplicity of the roots within
+    EXP_MERGE_TOL of b (zero when none).  The solution's polynomial part has
+    degree j + resonance_order exactly, with all powers below resonance_order
     absent, so it reads e^(b*x) * x^resonance_order * S(x), deg S = j.
     """
 
@@ -101,19 +101,7 @@ def particular_solution(factored: FactoredOp, rhs: ExpPoly) -> ExpPoly:
     back-substitution on the coefficients, one factor (D + lam - r) at a
     time, so a forcing exponent near a root keeps full relative accuracy.
     """
-    out = []
-    for lam, q in rhs.terms:
-        w = list(q.coeffs)
-        for r, mult in factored.factors:
-            # a root at lam is the D^m of P(lam + D), applied as I_m below
-            for _ in range(mult if abs(lam - r) > EXP_MERGE_TOL else 0):
-                above = 0j
-                for k in range(len(w) - 1, -1, -1):
-                    w[k] = above = (w[k] - (k + 1) * above) / (lam - r)
-        for _ in range(factored.multiplicity(lam)):
-            w = [0j] + [c / (k + 1) for k, c in enumerate(w)]
-        out.append((lam, Poly._trusted(tuple(w))))
-    return ExpPoly._trusted(out)
+    return rhs._inverse(factored.factors)
 
 
 def ansatz_form(factored: FactoredOp, b: complex, j: int) -> AnsatzForm:

@@ -279,6 +279,67 @@ def trig_argument_reference(beta: float) -> str:
     return "x" if beta == 1.0 else f"{_fmt_real(beta)}*x"
 
 
+# exponents where the first-order inverse's branches meet: signed zeros, a
+# tiny exponent, and both sides of EXP_MERGE_TOL
+KERNEL_SPECIALS = (0.0, -0.0, 1e-300, -1e-300, 5e-10, -5e-10, 1e-9, -1e-9,
+                   2e-9, -2e-9, 1.0, -2.0)
+_kernel_parts = st.one_of(st.sampled_from(KERNEL_SPECIALS), _floats)
+kernel_exponents = st.builds(complex, _kernel_parts, _kernel_parts)
+kernel_exppolys = st.lists(
+    st.tuples(kernel_exponents, nonzero_polys), min_size=1, max_size=3,
+).map(lambda ts: ExpPoly(tuple(ts)))
+
+
+@st.composite
+def kernel_factored_ops(draw, max_roots=3, max_mult=3):
+    """FactoredOps whose roots come from kernel_exponents; a drawn root within
+    EXP_MERGE_TOL of an earlier one is left out, as FactoredOp demands."""
+    pairs = []
+    for r in draw(st.lists(kernel_exponents, min_size=1, max_size=max_roots)):
+        if all(abs(r - s) > EXP_MERGE_TOL for s, _ in pairs):
+            pairs.append((r, draw(st.integers(1, max_mult))))
+    return FactoredOp(tuple(pairs))
+
+
+def antiderivative_reference(f: ExpPoly) -> ExpPoly:
+    """ExpPoly.antiderivative as it was written before it went through
+    ExpPoly._inverse: plain integration within EXP_MERGE_TOL of zero, the
+    integration-by-parts recurrence elsewhere."""
+    out = []
+    for lam, p in f.terms:
+        if abs(lam) <= EXP_MERGE_TOL:
+            shifted = (0j,) + tuple(c / (k + 1) for k, c in enumerate(p.coeffs))
+            out.append((lam, Poly._trusted(shifted)))
+        else:
+            q = [0j] * len(p.coeffs)
+            q[-1] = p.coeffs[-1] / lam
+            for k in range(len(p.coeffs) - 2, -1, -1):
+                q[k] = (p.coeffs[k] - (k + 1) * q[k + 1]) / lam
+            out.append((lam, Poly._trusted(tuple(q))))
+    return ExpPoly._trusted(out)
+
+
+def particular_reference(factored: FactoredOp, rhs: ExpPoly) -> ExpPoly:
+    """solve.particular_solution as it was written before it went through
+    ExpPoly._inverse, with FactoredOp.multiplicity's old rule inlined: it
+    skips every root within EXP_MERGE_TOL of the exponent, but integrates by
+    the multiplicity of the first such root only."""
+    out = []
+    for lam, q in rhs.terms:
+        w = list(q.coeffs)
+        for r, mult in factored.factors:
+            # a root at lam is the D^m of P(lam + D), applied as I_m below
+            for _ in range(mult if abs(lam - r) > EXP_MERGE_TOL else 0):
+                above = 0j
+                for k in range(len(w) - 1, -1, -1):
+                    w[k] = above = (w[k] - (k + 1) * above) / (lam - r)
+        for _ in range(next((m for r, m in factored.factors
+                             if abs(lam - r) <= EXP_MERGE_TOL), 0)):
+            w = [0j] + [c / (k + 1) for k, c in enumerate(w)]
+        out.append((lam, Poly._trusted(tuple(w))))
+    return ExpPoly._trusted(out)
+
+
 def random_poly(rng: random.Random, max_degree: int = 4) -> Poly:
     deg = rng.randint(0, max_degree)
     coeffs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))

@@ -292,6 +292,19 @@ def test_user_roots_accepted(capsys):
     assert doc["roots"] == [["-1", "0"], ["1", "0"]]
 
 
+def test_user_roots_in_one_resonance_band(capsys):
+    # 1 and 1.0000000015 both lie within 1e-9 of the forcing exponent, so
+    # both count toward its resonance order: x^2, not x
+    equation = ("y''' - 1.5e-09*y'' + (-3.0000000015)*y' + 2.000000003*y"
+                " = exp(1.00000000075*x)")
+    assert main(["solve", equation,
+                 "--roots", "1:1, 1.0000000015:1, -2:1"]) == 0
+    out = capsys.readouterr().out
+    assert ("particular solution: 0.166666666625*x^2*exp(1.00000000075*x)\n"
+            in out)
+    assert "status: verified\n" in out
+
+
 def test_user_roots_validated_against_equation(capsys):
     assert main(["solve", "y'' - y = 0", "--roots", "1:2"]) == 2
     assert "characteristic polynomial" in capsys.readouterr().err

@@ -18,10 +18,12 @@ from expode import (
 from expode.exppoly import _canonical
 from strategies import (
     GRID,
+    antiderivative_reference,
     canonical_reference,
     complex_coeffs,
     ep_close,
     exppolys,
+    kernel_exppolys,
     nonzero_polys,
     pointwise_value,
 )
@@ -209,6 +211,14 @@ def test_antiderivative_degree_law(lam, j, c):
         assert gp.degree == j + 1
     else:
         assert gp.degree == j
+
+
+@settings(max_examples=300)
+@given(f=kernel_exppolys)
+def test_antiderivative_matches_reference_bits(f):
+    # the factor D, root 0, through the shared inverse: (w - (k+1)*0j)/(lam - 0j)
+    # is w/lam bit for bit, signed zeros included
+    assert repr(f.antiderivative()) == repr(antiderivative_reference(f))
 
 
 @given(f=exppolys, g=exppolys, a=complex_coeffs, b=complex_coeffs)

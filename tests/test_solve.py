@@ -5,10 +5,11 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expode import (
+    EXP_MERGE_TOL,
     ExpPoly,
     FactoredOp,
     Factorization,
@@ -30,7 +31,9 @@ from expode import (
     verify_solution,
     wronskian_determinant,
 )
-from strategies import ep_close, exppolys, factored_ops, pointwise_value
+from strategies import (OP_GRID, complex_coeffs, ep_close, exppolys,
+                        factored_ops, kernel_exppolys, kernel_factored_ops,
+                        particular_reference, pointwise_value)
 
 
 # ------------------------------------------------------ homogeneous basis
@@ -164,6 +167,70 @@ def test_particular_independent_of_factor_order():
 def test_particular_always_verifies(fac, f):
     part = particular_solution(fac, f)
     assert verify_solution(fac.to_linop(), f, part).within(1e-8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fac=kernel_factored_ops(), f=kernel_exppolys)
+def test_particular_matches_reference_bits(fac, f):
+    # the old code differs only where two roots lie within EXP_MERGE_TOL of
+    # one exponent; everywhere else the shared inverse gives the same bits
+    assume(all(sum(abs(lam - r) <= EXP_MERGE_TOL for r, _ in fac.factors) < 2
+               for lam, _ in f.terms))
+    assert repr(particular_solution(fac, f)) == repr(particular_reference(fac, f))
+
+
+def test_particular_counts_every_root_in_the_band():
+    # two simple roots 1.5e-9 apart, forced at their midpoint: both count as
+    # the exponent, so the answer is x^2/6 * e^(lam*x), resonance order 2
+    fac = FactoredOp(((1, 1), (1 + 1.5e-9, 1), (-2, 1)))
+    lam = 1 + 0.75e-9
+    f = ExpPoly.term(lam, Poly([1]))
+    part = particular_solution(fac, f)
+    assert verify_solution(fac.to_linop(), f, part).within(1e-12)
+    assert part.term_at(lam).degree == 2
+    af = ansatz_form(fac, lam, 0)
+    assert (af.resonance_order, af.degree) == (2, 2)
+    assert fac.multiplicity(lam) == 2
+
+
+@st.composite
+def _band_pairs(draw, max_mult):
+    """(FactoredOp, lam, j, m, f): two roots 1.01-1.99 EXP_MERGE_TOL apart
+    around lam, of total multiplicity m, maybe one root of OP_GRID far from
+    lam, and f = e^(lam*x) q with deg q = j <= 3."""
+    lam = draw(st.sampled_from(OP_GRID))
+    gap = draw(st.floats(1.01, 1.99)) * EXP_MERGE_TOL
+    turn = draw(st.sampled_from((1, 1j, (1 + 1j) / abs(1 + 1j))))
+    pairs = [(lam - 0.5 * gap * turn, draw(st.integers(1, max_mult))),
+             (lam + 0.5 * gap * turn, draw(st.integers(1, max_mult)))]
+    far = draw(st.sampled_from([None] + [r for r in OP_GRID
+                                         if abs(r - lam) > 0.5]))
+    if far is not None:
+        pairs.append((far, draw(st.integers(1, 2))))
+    j = draw(st.integers(0, 3))
+    lead = draw(st.sampled_from((1, -2.5, 1j)))
+    q = Poly(tuple(draw(st.lists(complex_coeffs, min_size=j, max_size=j)))
+             + (complex(lead),))
+    m = pairs[0][1] + pairs[1][1]
+    return FactoredOp(tuple(pairs)), lam, j, m, ExpPoly.term(lam, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_band_pairs(max_mult=1))
+def test_simple_root_pair_in_the_band_verifies(case):
+    fac, lam, j, _, f = case
+    part = particular_solution(fac, f)
+    assert verify_solution(fac.to_linop(), f, part).within(1e-8)
+    assert part.term_at(lam).degree == j + 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_band_pairs(max_mult=3))
+def test_band_degree_law_matches_ansatz(case):
+    fac, lam, j, m, f = case
+    af = ansatz_form(fac, lam, j)
+    assert (af.resonance_order, af.degree) == (m, j + m)
+    assert particular_solution(fac, f).term_at(lam).degree == af.degree
 
 
 # ------------------------------------------------------------ ansatz form
