@@ -143,6 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="expode",
         description="Solve linear constant-coefficient ODEs in closed form.")
     sub = parser.add_subparsers(dest="command", required=True)
+    points_help = "grid size for the pointwise residual check (2 to 10000)"
 
     ps = sub.add_parser("solve", help="solve an equation")
     ps.add_argument("equation", help="equation text, e.g. \"y'' + y = exp(x)\"")
@@ -156,15 +157,15 @@ def _build_parser() -> argparse.ArgumentParser:
                          "pairs, e.g. \"1:2, -1:1\"")
     ps.add_argument("--json", action="store_true", help="machine-readable output")
     ps.add_argument("--verify-points", type=int, default=50, metavar="N",
-                    help="grid size for the pointwise residual check "
-                         "(2 to 10000)")
+                    help=points_help)
     ps.set_defaults(func=cmd_solve)
 
     pv = sub.add_parser("verify", help="check a candidate solution")
     pv.add_argument("equation")
     pv.add_argument("candidate", help="expression to test, e.g. \"x*exp(x)\"")
     pv.add_argument("--json", action="store_true", help="machine-readable output")
-    pv.add_argument("--verify-points", type=int, default=50, metavar="N")
+    pv.add_argument("--verify-points", type=int, default=50, metavar="N",
+                    help=points_help)
     pv.set_defaults(func=cmd_verify)
     return parser
 

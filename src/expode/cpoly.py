@@ -324,11 +324,13 @@ def _aberth(monic: tuple[complex, ...], deriv: Poly) -> list[complex]:
     # Horner's rule with a running bound on its own rounding error, and P'
     # from 0j as Poly.__call__ runs it, over coefficients reversed once
     top, rest, drev = monic[-1], monic[-2::-1], deriv.coeffs[::-1]
+    # a root on root is never moved, so it stays on root: later sweeps skip it
+    live = list(range(n))
     stalled = 0
     for _ in range(_MAX_SWEEPS):
         max_step = 0.0
-        all_on_root = True
-        for i in range(n):
+        moving = []
+        for i in live:
             z = zs[i]
             p, bound, az = top, abs(top), abs(z)
             for c in rest:
@@ -336,7 +338,7 @@ def _aberth(monic: tuple[complex, ...], deriv: Poly) -> list[complex]:
                 bound = bound * az + abs(p)
             if abs(p) <= 4.0 * (bound * _EPS):
                 continue
-            all_on_root = False
+            moving.append(i)
             dp = 0j
             for c in drev:
                 dp = dp * z + c
@@ -346,9 +348,7 @@ def _aberth(monic: tuple[complex, ...], deriv: Poly) -> list[complex]:
                 continue
             w = p / dp
             s = 0j
-            for j, zj in enumerate(zs):
-                if j == i:
-                    continue
+            for zj in zs[:i] + zs[i + 1:]:
                 d = z - zj
                 if d == 0:
                     d = complex(1e-12 * (1.0 + az), 0.0)
@@ -359,7 +359,8 @@ def _aberth(monic: tuple[complex, ...], deriv: Poly) -> list[complex]:
             rel_step = abs(step) / (1.0 + abs(z))
             if rel_step > max_step:
                 max_step = rel_step
-        if all_on_root:
+        live = moving
+        if not live:
             return zs
         if max_step <= 8.0 * _EPS:
             stalled += 1

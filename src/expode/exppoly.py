@@ -13,6 +13,8 @@ result whose exponents are those of a canonical input, in the same order
 solution), is built by ExpPoly._trusted, which only cleans the polynomial
 parts: canonical exponents are sorted and pairwise farther apart than
 EXP_MERGE_TOL, so sorting and merging them again would change nothing.
+For the same reason a sum with zero is the other operand itself: the
+constructor would clean its canonical terms back to the same terms.
 """
 
 from __future__ import annotations
@@ -131,6 +133,10 @@ class ExpPoly(Record):
         return best
 
     def __add__(self, other: ExpPoly) -> ExpPoly:
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return ExpPoly(self.terms + other.terms)
 
     def __neg__(self) -> ExpPoly:

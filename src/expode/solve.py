@@ -13,6 +13,7 @@ constant dropped.  No power below x^m appears, so y has no kernel part.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from .exppoly import EXP_MERGE_TOL, ExpPoly, NotConjugateClosed
@@ -190,6 +191,13 @@ class VerifyReport(Record):
         return self.symbolic <= tol and self.pointwise <= tol
 
 
+@functools.lru_cache(maxsize=16, typed=True)
+def _grid(points: int, a: float, b: float) -> tuple[float, ...]:
+    """The verifier's uniform grid.  typed: 10**20 and 1e20 hash equal, but
+    an int span gives other grid points than a float one."""
+    return tuple(a + (b - a) * k / (points - 1) for k in range(points))
+
+
 def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
                     points: int = 50, span: tuple[float, float] = (-1.0, 1.0)
                     ) -> VerifyReport:
@@ -200,7 +208,9 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
     are divided by 1 + |f|, so for a small f (f = 0 for a basis element)
     'verified' bounds an absolute error, whatever the size of y.
     The grid is evaluated term by term (ExpPoly.values), which gives the
-    same bits as evaluating it point by point.  Raises NonConvergence when
+    same bits as evaluating it point by point.  With f = 0 the subtraction
+    returns L[y] itself and f's grid is skipped: the scale is exactly 1.0,
+    and dividing by it changes no bit.  Raises NonConvergence when
     L[y] - f or a sampled value overflows, naming the first grid point that
     does.
     """
@@ -214,11 +224,13 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
         raise NonConvergence("residual L[y] - f overflows") from exc
     symbolic = residual.max_coeff() / (1.0 + f.max_coeff())
     a, b = span
-    xs = [a + (b - a) * k / (points - 1) for k in range(points)]
+    xs = _grid(points, a, b)
     worst = 0.0
     try:
-        for r, v in zip(residual.values(xs), f.values(xs)):
-            err = abs(r) / (1.0 + abs(v))
+        errs = map(abs, residual.values(xs))
+        if f.terms:  # else 1 + |f(x)| is 1.0, and dividing by it is exact
+            errs = [e / (1.0 + abs(v)) for e, v in zip(errs, f.values(xs))]
+        for err in errs:
             if err > worst:
                 worst = err
     except OverflowError:

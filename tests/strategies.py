@@ -11,8 +11,9 @@ import random
 from hypothesis import strategies as st
 
 from expode import (EXP_MERGE_TOL, ExpPoly, FactoredOp, HomogeneousSolution,
-                    NotConjugateClosed, Poly, TrigForm, coeff_distance,
-                    monomial)
+                    NonConvergence, NotConjugateClosed, Poly, TrigForm,
+                    VerifyReport, coeff_distance, monomial)
+from expode.cpoly import _EPS, _MAX_SWEEPS, _start_points
 from expode.exppoly import COEFF_CLEAN_REL, _conjugate_poly, _real_poly
 from expode.parsing import _coeff_body, _fmt_real, _imag_body
 
@@ -338,6 +339,79 @@ def particular_reference(factored: FactoredOp, rhs: ExpPoly) -> ExpPoly:
             w = [0j] + [c / (k + 1) for k, c in enumerate(w)]
         out.append((lam, Poly._trusted(tuple(w))))
     return ExpPoly._trusted(out)
+
+
+def aberth_reference(monic, deriv: Poly) -> list:
+    """cpoly._aberth as it was written before it kept a list of live roots:
+    every sweep visits every root and returns once all of them are on root."""
+    n = len(monic) - 1
+    if n == 1:
+        return [-monic[0]]
+    zs = _start_points(monic)
+    top, rest, drev = monic[-1], monic[-2::-1], deriv.coeffs[::-1]
+    stalled = 0
+    for _ in range(_MAX_SWEEPS):
+        max_step = 0.0
+        all_on_root = True
+        for i in range(n):
+            z = zs[i]
+            p, bound, az = top, abs(top), abs(z)
+            for c in rest:
+                p = p * z + c
+                bound = bound * az + abs(p)
+            if abs(p) <= 4.0 * (bound * _EPS):
+                continue
+            all_on_root = False
+            dp = 0j
+            for c in drev:
+                dp = dp * z + c
+            if dp == 0:
+                zs[i] += (1e-6 + 1e-6j) * (1.0 + az)
+                max_step = math.inf
+                continue
+            w = p / dp
+            s = 0j
+            for j, zj in enumerate(zs):
+                if j == i:
+                    continue
+                d = z - zj
+                if d == 0:
+                    d = complex(1e-12 * (1.0 + az), 0.0)
+                s += 1.0 / d
+            denom = 1.0 - w * s
+            step = w if denom == 0 else w / denom
+            zs[i] = z = z - step
+            rel_step = abs(step) / (1.0 + abs(z))
+            if rel_step > max_step:
+                max_step = rel_step
+        if all_on_root:
+            return zs
+        if max_step <= 8.0 * _EPS:
+            stalled += 1
+            if stalled >= 3:
+                return zs
+        else:
+            stalled = 0
+    raise NonConvergence(
+        f"root iteration missed its residual target within {_MAX_SWEEPS} sweeps")
+
+
+def verify_reference(op, f: ExpPoly, y: ExpPoly, points: int = 50,
+                     span=(-1.0, 1.0)) -> VerifyReport:
+    """solve.verify_solution as it was written before it cached its grid and
+    skipped a zero f, its argument checks and overflow walk left out, and
+    L[y] - f spelled as ExpPoly.__add__ built it then: the constructor over
+    both operands' terms, even when one of them is 0."""
+    residual = ExpPoly(op.apply(y).terms + (-f).terms)
+    symbolic = residual.max_coeff() / (1.0 + f.max_coeff())
+    a, b = span
+    xs = [a + (b - a) * k / (points - 1) for k in range(points)]
+    worst = 0.0
+    for r, v in zip(residual.values(xs), f.values(xs)):
+        err = abs(r) / (1.0 + abs(v))
+        if err > worst:
+            worst = err
+    return VerifyReport(symbolic, worst)
 
 
 def random_poly(rng: random.Random, max_degree: int = 4) -> Poly:

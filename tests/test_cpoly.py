@@ -15,7 +15,9 @@ from expode import (
     find_roots,
     monomial,
 )
-from strategies import OP_GRID, complex_coeffs, polys
+from expode.cpoly import _aberth, _start_points
+from strategies import (OP_GRID, aberth_reference, complex_coeffs,
+                        factored_ops, polys)
 
 
 # ------------------------------------------------------------ arithmetic
@@ -203,6 +205,49 @@ def test_wide_root_spreads_certify(roots):
     for g, want in zip(got, sorted(roots)):
         assert abs(g - want) <= 1e-8 * want
     assert coefficients_match(fac.expand(), p)
+
+
+def _aberth_outcome(aberth, p: Poly) -> str:
+    """The repr of what the sweep returns for p, made monic as find_roots
+    makes it, or of the exception it raises."""
+    monic = tuple(c / p.coeffs[-1] for c in p.coeffs)
+    try:
+        return repr(aberth(monic, Poly._trusted(monic).derivative()))
+    except (NonConvergence, OverflowError, ValueError) as exc:
+        return repr(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fac=factored_ops(max_roots=8, max_order=12))
+def test_aberth_matches_reference_bits(fac):
+    # sweeping only the live roots drops evaluations, not bits
+    p = fac.char_poly()
+    assert _aberth_outcome(_aberth, p) == _aberth_outcome(aberth_reference, p)
+
+
+def _flat_start_poly() -> Poly:
+    """z^4 + a3 z^3 + a2 z^2 + a1 z + 1 with P'(z0) == 0 exactly at the first
+    start point z0: the start circle comes from the hull vertices 1 and z^4
+    alone, |a_k| < 1 keeps a1..a3 under it, and a1 cancels the rest of P'."""
+    z0 = _start_points((1 + 0j, 0j, 0j, 0j, 1 + 0j))[0]
+    head = (1 + 0j, 0j, -0.6 * z0 * z0, -0.9 * z0, 1 + 0j)
+    dp = 0j
+    for c in Poly._trusted(head).derivative().coeffs[:0:-1]:
+        dp = dp * z0 + c
+    p = Poly((1, -(dp * z0)) + head[2:])
+    assert _start_points(p.coeffs)[0] == z0
+    assert p.derivative()(z0) == 0
+    return p
+
+
+@pytest.mark.parametrize("p", [
+    Poly((-1,) + (0,) * 28 + (1,)),
+    Factorization(tuple((float(j), 1) for j in range(1, 14))).expand(),
+    Factorization(((1.5, 6), (-2.0, 1))).expand(),
+    _flat_start_poly(),
+], ids=["y29-minus-y", "roots-1-to-13", "mult-6-and-1", "flat-start"])
+def test_aberth_matches_reference_bits_at_the_edges(p):
+    assert _aberth_outcome(_aberth, p) == _aberth_outcome(aberth_reference, p)
 
 
 def test_order_28_roots_of_unity_certify():

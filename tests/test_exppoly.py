@@ -115,6 +115,12 @@ def test_product_expands_exponents():
     assert prod.term_at(-1 + 0j) == Poly([0, 1])
 
 
+@given(f=exppolys)
+def test_sum_with_zero_is_the_canonical_operand(f):
+    want, zero = repr(ExpPoly(f.terms)), ExpPoly.zero()
+    assert repr(f + zero) == repr(zero + f) == repr(f - zero) == want
+
+
 def test_scale_by_zero():
     assert ExpPoly.constant(3).scale(0).is_zero
 
