@@ -28,7 +28,8 @@ from .parsing import (
     render,
     render_poly,
 )
-from .solve import SingularSystem, VerifyReport, solve_equation, verify_solution
+from .solve import (RootsError, SingularSystem, VerifyReport, solve_equation,
+                    verify_solution)
 
 RESIDUAL_TOL = 1e-8
 
@@ -185,6 +186,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ParseError as exc:
         _print_parse_error(exc)
+        return 2
+    except RootsError as exc:  # the library names `roots`, the CLI --roots
+        print(f"error: --{exc}", file=sys.stderr)
         return 2
     except (EquationError, NotConjugateClosed, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

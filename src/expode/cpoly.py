@@ -138,35 +138,19 @@ class Poly(Record):
         return max((abs(c) for c in self.coeffs), default=0.0)
 
     def __add__(self, other: Poly) -> Poly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly._trusted(tuple(out))
+        return Poly._trusted(_add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> Poly:
-        return Poly._trusted(tuple(-c for c in self.coeffs))
+        return Poly._trusted(_neg(self.coeffs))
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __mul__(self, other: Poly) -> Poly:
-        if self.is_zero or other.is_zero:
-            return Poly()
-        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
-            # the one pass the double loop below makes, 0j + a*b per slot
-            return Poly._trusted(tuple([0j + a * b for a in self.coeffs
-                                        for b in other.coeffs]))
-        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly._trusted(tuple(out))
+        return Poly._trusted(_mul(self.coeffs, other.coeffs))
 
     def scale(self, s: complex) -> Poly:
-        return Poly._trusted(tuple(c * s for c in self.coeffs))
+        return Poly._trusted(_scale(self.coeffs, s))
 
     def derivative(self) -> Poly:
         return Poly._trusted(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
@@ -186,6 +170,39 @@ def _checked(cs: tuple[complex, ...]) -> tuple[complex, ...]:
     while n and cs[n - 1] == 0:
         n -= 1
     return cs[:n]
+
+
+# Poly's arithmetic on bare coefficient tuples.  Each returns a raw tuple;
+# Poly._trusted, and the forcing side's lowering, pass it through _checked.
+
+def _add(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    return tuple(out)
+
+
+def _neg(a: tuple) -> tuple:
+    return tuple(-c for c in a)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    if len(a) == 1 or len(b) == 1:
+        # the one pass the double loop below makes, 0j + a*b per slot
+        return tuple([0j + x * y for x in a for y in b])
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _scale(a: tuple, s: complex) -> tuple:
+    return tuple(c * s for c in a)
 
 
 def monomial(power: int, coeff: complex = 1.0) -> Poly:

@@ -14,7 +14,9 @@ solution), is built by ExpPoly._trusted, which only cleans the polynomial
 parts: canonical exponents are sorted and pairwise farther apart than
 EXP_MERGE_TOL, so sorting and merging them again would change nothing.
 For the same reason a sum with zero is the other operand itself: the
-constructor would clean its canonical terms back to the same terms.
+constructor would clean its canonical terms back to the same terms, and a
+sum of two operands with equal exponents, in the same order, adds them term
+by term: the constructor would pair each term with its twin at distance 0.
 """
 
 from __future__ import annotations
@@ -137,6 +139,11 @@ class ExpPoly(Record):
             return self
         if not self.terms:
             return other
+        if [lam for lam, _ in self.terms] == [lam for lam, _ in other.terms]:
+            # each term's twin is the one at distance 0, so the constructor
+            # would merge exactly these pairs, in this order
+            return ExpPoly._trusted((lam, p + q) for (lam, p), (_, q)
+                                    in zip(self.terms, other.terms))
         return ExpPoly(self.terms + other.terms)
 
     def __neg__(self) -> ExpPoly:
@@ -218,14 +225,25 @@ class ExpPoly(Record):
         does, and is added in term order with an explicit +=, so each value
         is bit for bit the term-by-term sum at that point.
         """
+        return self._sample(xs, {})
+
+    def _sample(self, xs, rows: dict) -> list[complex]:
+        """values(xs), with each exponent's row e^(lam*x) taken from, or
+        added to, rows: functions sampled with one dict share their rows.
+        0j and -0j share a row although their rows differ in the sign of a
+        zero part; a sum that starts from 0j never holds -0.0, so no value
+        changes."""
         out = [0j] * len(xs)
         for lam, p in self.terms:
+            row = rows.get(lam)
+            if row is None:
+                row = rows[lam] = [cmath.exp(lam * x) for x in xs]
             cs = p.coeffs[::-1]
             for k, x in enumerate(xs):
                 acc = 0j
                 for c in cs:
                     acc = acc * x + c
-                out[k] += cmath.exp(lam * x) * acc
+                out[k] += row[k] * acc
         return out
 
     def __call__(self, x: complex) -> complex:

@@ -27,7 +27,7 @@ import functools
 import math
 import re
 
-from .cpoly import Poly, Record, monomial
+from .cpoly import Poly, Record, _add, _checked, _mul, _neg, _scale
 from .exppoly import EXP_MERGE_TOL, ExpPoly, TrigForm, _kept
 from .exppoly import realify as _to_trig
 from .operators import LinOp
@@ -112,6 +112,9 @@ class EquationAst(Record):
 _FOLD = {"exp": cmath.exp, "sin": cmath.sin, "cos": cmath.cos}
 _NAMES = ("'x'", "'y'", "'i'", "'exp'", "'sin'", "'cos'")
 _MAX_POWER = 100  # largest derivative order and '^' exponent accepted
+# coefficients a product in the forcing may hold over all its exponents
+# (degree 1200 for one exponent), which bounds the work of '^' and '*'
+_MAX_COEFFS = 1201
 # Parentheses, unary signs and '^' nest at most this deep, well within the
 # interpreter's recursion limit; '+', '-', '*' and '/' chains are walked in
 # loops, at any length.
@@ -489,37 +492,42 @@ def _constant_of(terms, node: Expr, what: str = "value") -> complex:
     return ab[1]
 
 
-def _terms(parts: dict[complex, Poly]) -> tuple[tuple[complex, Poly], ...]:
+def _terms(parts: dict[complex, tuple]) -> tuple[tuple[complex, Poly], ...]:
     """ExpPoly(parts).terms.  One part with a finite exponent has nothing
     to sort or merge, so it is only cleaned, as the constructor would."""
-    if len(parts) == 1 and cmath.isfinite(next(iter(parts))):
-        return _kept(parts.items())
-    return ExpPoly(tuple(parts.items())).terms
+    polys = tuple((lam, Poly._trusted(cs)) for lam, cs in parts.items())
+    if len(polys) == 1 and cmath.isfinite(polys[0][0]):
+        return _kept(polys)
+    return ExpPoly(polys).terms
 
 
-def _accumulate(acc: dict[complex, Poly], lam: complex, p: Poly) -> None:
+def _accumulate(acc: dict[complex, tuple], lam: complex, cs: tuple) -> None:
     q = acc.get(lam)
-    acc[lam] = p if q is None else q + p
+    acc[lam] = cs if q is None else _checked(_add(q, cs))
 
 
-def _product(a: dict[complex, Poly], b: dict[complex, Poly]
-             ) -> dict[complex, Poly]:
-    out: dict[complex, Poly] = {}
+def _product(a: dict[complex, tuple], b: dict[complex, tuple], pos: int
+             ) -> dict[complex, tuple]:
+    out: dict[complex, tuple] = {}
     for la, pa in a.items():
         for lb, pb in b.items():
-            p = pa * pb
-            if not p.is_zero:  # a zero part carries no exponent onward
-                _accumulate(out, la + lb, p)
+            cs = _checked(_mul(pa, pb))
+            if cs:  # a zero part carries no exponent onward
+                _accumulate(out, la + lb, cs)
+    if sum(map(len, out.values())) > _MAX_COEFFS:
+        raise UnsupportedForm(f"a product in the forcing holds more than "
+                              f"{_MAX_COEFFS} coefficients", pos)
     return out
 
 
-def _lower(expr: Expr) -> dict[complex, Poly]:
-    """Value of expr as polynomial parts keyed by their exact exponent,
-    neither merged within EXP_MERGE_TOL nor cleaned."""
+def _lower(expr: Expr) -> dict[complex, tuple]:
+    """Value of expr as coefficient tuples keyed by their exact exponent,
+    neither merged within EXP_MERGE_TOL nor cleaned.  Every tuple has passed
+    _checked: its coefficients are finite and its trailing zeros stripped."""
     if isinstance(expr, Num):
-        return {0j: Poly((expr.value,))}
+        return {0j: _checked((complex(expr.value),))}
     if isinstance(expr, VarX):
-        return {0j: monomial(1)}
+        return {0j: (0j, 1 + 0j)}
     if isinstance(expr, YTerm):
         raise UnknownOnRhs("y cannot appear in a function expression", expr.pos)
     if isinstance(expr, Call):
@@ -529,21 +537,22 @@ def _lower(expr: Expr) -> dict[complex, Poly]:
                                   expr.pos)
         a, b = ab
         if expr.fn == "exp":
-            return {a: Poly((_fold_const(cmath.exp, b, expr.pos),))}
+            return {a: _checked((_fold_const(cmath.exp, b, expr.pos),))}
         up = _fold_const(cmath.exp, 1j * b, expr.pos)
         dn = _fold_const(cmath.exp, -1j * b, expr.pos)
         if expr.fn == "sin":
             c_up, c_dn = up / 2j, -dn / 2j
         else:
             c_up, c_dn = up / 2.0, dn / 2.0
-        out = {1j * a: Poly((c_up,))}
-        _accumulate(out, -1j * a, Poly((c_dn,)))  # the same key when a is 0
+        out = {1j * a: _checked((c_up,))}
+        # the same key when a is 0
+        _accumulate(out, -1j * a, _checked((c_dn,)))
         return out
     if isinstance(expr, Neg) or expr.op in ("+", "-"):
         out = {}
         for sign, term in _additive_terms(expr):
-            for lam, p in _lower(term).items():
-                _accumulate(out, lam, p if sign > 0 else -p)
+            for lam, cs in _lower(term).items():
+                _accumulate(out, lam, cs if sign > 0 else _checked(_neg(cs)))
         return out
     if expr.op != "^":
         # a product's left spine is walked in a loop: a divisor is read on
@@ -551,7 +560,7 @@ def _lower(expr: Expr) -> dict[complex, Poly]:
         steps = []
         while isinstance(expr, Bin) and expr.op in ("*", "/"):
             if expr.op == "*":
-                steps.append(expr.right)
+                steps.append(expr)
             else:
                 denom = _constant_of(_terms(_lower(expr.right)), expr, "divisor")
                 if denom == 0:
@@ -561,14 +570,15 @@ def _lower(expr: Expr) -> dict[complex, Poly]:
         out = _lower(expr)
         for step in reversed(steps):
             if isinstance(step, complex):
-                out = {lam: p.scale(step) for lam, p in out.items()}
+                out = {lam: _checked(_scale(cs, step))
+                       for lam, cs in out.items()}
             else:
-                out = _product(out, _lower(step))
+                out = _product(out, _lower(step.right), step.pos)
         return out
     if isinstance(expr.right, Num):
-        # what the number lowers to, read in place: Poly converts it and
-        # checks it finite, abs() overflows as in the cleaning, 0 reads 0j
-        cs = Poly((expr.right.value,)).coeffs
+        # what the number lowers to, read in place: _checked checks it
+        # finite, abs() overflows as in the cleaning, 0 reads 0j
+        cs = _checked((complex(expr.right.value),))
         exponent = cs[0] if cs and abs(cs[0]) else 0j
     else:
         exponent = _constant_of(_terms(_lower(expr.right)), expr, "exponent")
@@ -577,7 +587,7 @@ def _lower(expr: Expr) -> dict[complex, Poly]:
         base = _terms(_lower(expr.left))
         ab = _affine(base)
         if ab is not None and ab[0] == 0:
-            return {0j: Poly((_cpow(ab[1], exponent, expr.pos),))}
+            return {0j: _checked((_cpow(ab[1], exponent, expr.pos),))}
     k = exponent.real
     if exponent.imag != 0 or k != int(k) or k < 0:
         raise UnsupportedForm(
@@ -588,10 +598,10 @@ def _lower(expr: Expr) -> dict[complex, Poly]:
         raise UnsupportedForm("exponent too large", expr.pos)
     if base is None:
         # x^k: every product below would add only +0j terms to one 1+0j
-        return {0j: monomial(k)}
-    out, factor = {0j: Poly((1.0,))}, dict(base)
+        return {0j: (0j,) * k + (1 + 0j,)}
+    out, factor = {0j: (1 + 0j,)}, {lam: p.coeffs for lam, p in base}
     for _ in range(k):
-        out = _product(out, factor)
+        out = _product(out, factor, expr.pos)
     return out
 
 
@@ -600,15 +610,18 @@ def lower_rhs(expr: Expr) -> ExpPoly:
 
     sin and cos are expanded through complex exponentials, so trigonometric
     forcing terms and their later realification share one representation.
-    The tree is evaluated in one pass into polynomial parts keyed by their
-    exact exponent, and the ExpPoly constructor (merging exponents within
-    EXP_MERGE_TOL, cleaning tiny coefficients) runs once on the result, not
-    after every partial sum or product.  It also runs where a canonical
-    value is read: function arguments, divisors, and both sides of '^'.
-    Arithmetic that leaves the double range raises UnsupportedForm.
+    The tree is evaluated in one pass into coefficient tuples keyed by their
+    exact exponent, each checked as Poly's arithmetic checks it, and the
+    ExpPoly constructor (merging exponents within EXP_MERGE_TOL, cleaning
+    tiny coefficients) runs once on the result, not after every partial sum
+    or product.  It also runs where a canonical value is read: function
+    arguments, divisors, and both sides of '^'.  Arithmetic that leaves the
+    double range raises UnsupportedForm, and so does a product that holds
+    more than _MAX_COEFFS coefficients, at that product's operator.
     """
     try:
-        return ExpPoly(tuple(_lower(expr).items()))
+        return ExpPoly(tuple((lam, Poly._trusted(cs))
+                             for lam, cs in _lower(expr).items()))
     except (ValueError, OverflowError) as exc:
         # coefficient validation, e.g. products of huge constants reaching
         # inf, or a magnitude (abs) that leaves the double range

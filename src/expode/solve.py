@@ -30,6 +30,11 @@ class SingularSystem(Exception):
     """The initial-condition system has no reliable solution."""
 
 
+class RootsError(ValueError):
+    """The `roots` text does not describe the operator.  The message starts
+    with the argument's name, so the command line can name its flag."""
+
+
 class HomogeneousSolution(Record):
     """Basis of the kernel of L plus display labels for the free constants."""
 
@@ -208,7 +213,8 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
     are divided by 1 + |f|, so for a small f (f = 0 for a basis element)
     'verified' bounds an absolute error, whatever the size of y.
     The grid is evaluated term by term (ExpPoly.values), which gives the
-    same bits as evaluating it point by point.  With f = 0 the subtraction
+    same bits as evaluating it point by point; the row e^(lam*x) of an
+    exponent is computed once for both sides.  With f = 0 the subtraction
     returns L[y] itself and f's grid is skipped: the scale is exactly 1.0,
     and dividing by it changes no bit.  Raises NonConvergence when
     L[y] - f or a sampled value overflows, naming the first grid point that
@@ -226,10 +232,12 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
     a, b = span
     xs = _grid(points, a, b)
     worst = 0.0
+    rows: dict = {}  # e^(lam*x) over the grid, shared by the two sides
     try:
-        errs = map(abs, residual.values(xs))
+        errs = map(abs, residual._sample(xs, rows))
         if f.terms:  # else 1 + |f(x)| is 1.0, and dividing by it is exact
-            errs = [e / (1.0 + abs(v)) for e, v in zip(errs, f.values(xs))]
+            errs = [e / (1.0 + abs(v))
+                    for e, v in zip(errs, f._sample(xs, rows))]
         for err in errs:
             if err > worst:
                 worst = err
@@ -286,8 +294,8 @@ def _factored_from_user(op: LinOp, text: str) -> FactoredOp:
         chunk = chunk.strip()
         root_text, sep, mult_text = chunk.rpartition(":")
         if not sep or not root_text.strip():
-            raise ValueError(
-                f"--roots entries look like 'root:multiplicity', got {chunk!r}")
+            raise RootsError(
+                f"roots entries look like 'root:multiplicity', got {chunk!r}")
         root = parse_constant(root_text.strip())
         try:
             mult = int(mult_text.strip())
@@ -296,10 +304,10 @@ def _factored_from_user(op: LinOp, text: str) -> FactoredOp:
         pairs.append((root, mult))
     factored = FactoredOp(tuple(pairs))
     if factored.order != op.order:
-        raise ValueError("--roots multiplicities must sum to the operator order")
+        raise RootsError("roots multiplicities must sum to the operator order")
     if not coefficients_match(factored.char_poly(), op.char_poly()):
-        raise ValueError(
-            "--roots does not reproduce the characteristic polynomial")
+        raise RootsError(
+            "roots does not reproduce the characteristic polynomial")
     return factored
 
 

@@ -14,8 +14,12 @@ from expode import (EXP_MERGE_TOL, ExpPoly, FactoredOp, HomogeneousSolution,
                     NonConvergence, NotConjugateClosed, Poly, TrigForm,
                     VerifyReport, coeff_distance, monomial)
 from expode.cpoly import _EPS, _MAX_SWEEPS, _start_points
-from expode.exppoly import COEFF_CLEAN_REL, _conjugate_poly, _real_poly
-from expode.parsing import _coeff_body, _fmt_real, _imag_body
+from expode.exppoly import COEFF_CLEAN_REL, _conjugate_poly, _kept, _real_poly
+from expode.parsing import (_MAX_POWER, Bin, Call, Expr, Neg, Num,
+                            UnknownOnRhs, UnsupportedForm, VarX, YTerm,
+                            _additive_terms, _affine, _coeff_body,
+                            _constant_of, _cpow, _fmt_real, _fold_const,
+                            _imag_body)
 
 # exponent grid for function-space properties
 GRID = (0j, 1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j, 1j, -1j, 1 + 1j, 1 - 1j)
@@ -412,6 +416,234 @@ def verify_reference(op, f: ExpPoly, y: ExpPoly, points: int = 50,
         if err > worst:
             worst = err
     return VerifyReport(symbolic, worst)
+
+
+# ---------------------------------------------------- forcing lowering
+
+def _terms_reference(parts: dict[complex, Poly]
+                     ) -> tuple[tuple[complex, Poly], ...]:
+    """ExpPoly(parts).terms.  One part with a finite exponent has nothing
+    to sort or merge, so it is only cleaned, as the constructor would."""
+    if len(parts) == 1 and cmath.isfinite(next(iter(parts))):
+        return _kept(parts.items())
+    return ExpPoly(tuple(parts.items())).terms
+
+
+def _accumulate_reference(acc: dict[complex, Poly], lam: complex,
+                          p: Poly) -> None:
+    q = acc.get(lam)
+    acc[lam] = p if q is None else q + p
+
+
+def _product_reference(a: dict[complex, Poly], b: dict[complex, Poly]
+                       ) -> dict[complex, Poly]:
+    out: dict[complex, Poly] = {}
+    for la, pa in a.items():
+        for lb, pb in b.items():
+            p = pa * pb
+            if not p.is_zero:  # a zero part carries no exponent onward
+                _accumulate_reference(out, la + lb, p)
+    return out
+
+
+def _lower_reference(expr: Expr) -> dict[complex, Poly]:
+    """Value of expr as polynomial parts keyed by their exact exponent,
+    neither merged within EXP_MERGE_TOL nor cleaned."""
+    if isinstance(expr, Num):
+        return {0j: Poly((expr.value,))}
+    if isinstance(expr, VarX):
+        return {0j: monomial(1)}
+    if isinstance(expr, YTerm):
+        raise UnknownOnRhs("y cannot appear in a function expression", expr.pos)
+    if isinstance(expr, Call):
+        ab = _affine(_terms_reference(_lower_reference(expr.arg)))
+        if ab is None:
+            raise UnsupportedForm(f"{expr.fn}() argument must be linear in x",
+                                  expr.pos)
+        a, b = ab
+        if expr.fn == "exp":
+            return {a: Poly((_fold_const(cmath.exp, b, expr.pos),))}
+        up = _fold_const(cmath.exp, 1j * b, expr.pos)
+        dn = _fold_const(cmath.exp, -1j * b, expr.pos)
+        if expr.fn == "sin":
+            c_up, c_dn = up / 2j, -dn / 2j
+        else:
+            c_up, c_dn = up / 2.0, dn / 2.0
+        out = {1j * a: Poly((c_up,))}
+        # the same key when a is 0
+        _accumulate_reference(out, -1j * a, Poly((c_dn,)))
+        return out
+    if isinstance(expr, Neg) or expr.op in ("+", "-"):
+        out = {}
+        for sign, term in _additive_terms(expr):
+            for lam, p in _lower_reference(term).items():
+                _accumulate_reference(out, lam, p if sign > 0 else -p)
+        return out
+    if expr.op != "^":
+        # a product's left spine is walked in a loop: a divisor is read on
+        # the way down, before its dividend, a factor on the way back up
+        steps = []
+        while isinstance(expr, Bin) and expr.op in ("*", "/"):
+            if expr.op == "*":
+                steps.append(expr.right)
+            else:
+                denom = _constant_of(
+                    _terms_reference(_lower_reference(expr.right)), expr,
+                    "divisor")
+                if denom == 0:
+                    raise UnsupportedForm("division by zero", expr.pos)
+                steps.append(1.0 / denom)
+            expr = expr.left
+        out = _lower_reference(expr)
+        for step in reversed(steps):
+            if isinstance(step, complex):
+                out = {lam: p.scale(step) for lam, p in out.items()}
+            else:
+                out = _product_reference(out, _lower_reference(step))
+        return out
+    if isinstance(expr.right, Num):
+        # what the number lowers to, read in place: Poly converts it and
+        # checks it finite, abs() overflows as in the cleaning, 0 reads 0j
+        cs = Poly((expr.right.value,)).coeffs
+        exponent = cs[0] if cs and abs(cs[0]) else 0j
+    else:
+        exponent = _constant_of(
+            _terms_reference(_lower_reference(expr.right)), expr, "exponent")
+    base = None
+    if not isinstance(expr.left, VarX):
+        base = _terms_reference(_lower_reference(expr.left))
+        ab = _affine(base)
+        if ab is not None and ab[0] == 0:
+            return {0j: Poly((_cpow(ab[1], exponent, expr.pos),))}
+    k = exponent.real
+    if exponent.imag != 0 or k != int(k) or k < 0:
+        raise UnsupportedForm(
+            "non-constant expressions take only nonnegative integer powers",
+            expr.pos)
+    k = int(k)
+    if k > _MAX_POWER:
+        raise UnsupportedForm("exponent too large", expr.pos)
+    if base is None:
+        # x^k: every product below would add only +0j terms to one 1+0j
+        return {0j: monomial(k)}
+    out, factor = {0j: Poly((1.0,))}, dict(base)
+    for _ in range(k):
+        out = _product_reference(out, factor)
+    return out
+
+
+def lower_reference(expr: Expr) -> ExpPoly:
+    """parsing.lower_rhs as it was before lowering worked on coefficient
+    tuples and bounded the size of a product: Poly objects throughout.
+
+    Evaluate an expression tree into the exponential-polynomial algebra.
+
+    sin and cos are expanded through complex exponentials, so trigonometric
+    forcing terms and their later realification share one representation.
+    The tree is evaluated in one pass into polynomial parts keyed by their
+    exact exponent, and the ExpPoly constructor (merging exponents within
+    EXP_MERGE_TOL, cleaning tiny coefficients) runs once on the result, not
+    after every partial sum or product.  It also runs where a canonical
+    value is read: function arguments, divisors, and both sides of '^'.
+    Arithmetic that leaves the double range raises UnsupportedForm.
+    """
+    try:
+        return ExpPoly(tuple(_lower_reference(expr).items()))
+    except (ValueError, OverflowError) as exc:
+        # coefficient validation, e.g. products of huge constants reaching
+        # inf, or a magnitude (abs) that leaves the double range
+        raise UnsupportedForm(f"arithmetic does not stay finite: {exc}",
+                              0) from exc
+
+
+# constants where lowering's checks meet: signed zeros, the edges of the
+# double range, and values whose products, powers and exponentials overflow
+FORCING_CONSTANTS = ("0", "0.0", "-0.0", "1", "2", "0.5", "3i", "1e-308",
+                     "2.5e-300i", "1e300", "1e308", "1.7e308", "-1.7e308")
+_atoms = st.sampled_from(FORCING_CONSTANTS + ("x", "i"))
+_affine_args = st.one_of(
+    st.sampled_from(("x", "-x", "0*x", "(1+2i)*x", "1e308*x")),
+    st.builds("{}*x + {}".format, _atoms, _atoms))
+
+
+def forcing_texts(max_power: int = 4, max_leaves: int = 10):
+    """Forcing expressions as text: sums, differences, products, quotients,
+    powers (integers up to max_power and a few that are not), unary minus,
+    and exp, sin and cos of affine arguments and of any subexpression."""
+    powers = st.one_of(st.integers(0, max_power).map(str),
+                       st.sampled_from(("0.5", "-1", "(1+1)", "-0.0", "1e308")))
+    calls = st.builds("{}({})".format, st.sampled_from(("exp", "sin", "cos")),
+                      _affine_args)
+
+    def extend(inner):
+        return st.one_of(
+            st.builds("{} + {}".format, inner, inner),
+            st.builds("{} - ({})".format, inner, inner),
+            st.builds("({})*({})".format, inner, inner),
+            st.builds("({})/({})".format, inner, inner),
+            st.builds("({})^{}".format, inner, powers),
+            st.builds("-({})".format, inner),
+            st.builds("{}({})".format, st.sampled_from(("exp", "sin", "cos")),
+                      inner))
+
+    return st.recursive(_atoms | calls, extend, max_leaves=max_leaves)
+
+
+# exponents where the aligned sum and the merge scan meet: signed zeros and
+# pairs closer than EXP_MERGE_TOL
+SUM_EXPONENTS = (0j, -0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1 + 0j,
+                 1 + 0.5e-9, 1 - 0.5e-9 + 0.5e-9j, 1 + 1e-9, 2j, -1 + 1j)
+_sum_coeffs = st.builds(complex, st.sampled_from((0.0, -0.0, 1e-13, 1.0))
+                        | _floats, st.sampled_from((0.0, -0.0)) | _floats)
+_sum_polys = st.lists(_sum_coeffs, min_size=1, max_size=4).map(
+    lambda cs: Poly(tuple(cs)))
+sum_exppolys = st.lists(st.tuples(st.sampled_from(SUM_EXPONENTS), _sum_polys),
+                        max_size=4).map(lambda ts: ExpPoly(tuple(ts)))
+
+
+@st.composite
+def exppoly_pairs(draw):
+    """Two canonical ExpPolys; about half the time the second has the
+    first's exponents, in order (with a zero's sign flipped at will), and
+    its own polynomial parts, negated ones among them."""
+    a = draw(sum_exppolys)
+    if draw(st.booleans()):
+        return a, draw(sum_exppolys)
+    terms = []
+    for lam, p in a.terms:
+        if lam == 0 and draw(st.booleans()):
+            lam = complex(-lam.real, -lam.imag)
+        q = draw(st.sampled_from((-p, p)) | _sum_polys)
+        terms.append((lam, q))
+    return a, ExpPoly._trusted(terms)
+
+
+@st.composite
+def cli_argvs(draw):
+    """Command lines for expode.cli.main over the forcing grammar: solve
+    with derivative orders up to and past the cap, y terms that are not
+    linear, and some of --ivp, --roots, --real, --verify-points and --json;
+    or verify with a candidate from the same grammar."""
+    order = draw(st.integers(0, 8) | st.sampled_from((30, 100, 101)))
+    lhs = f"y^({order})" + draw(st.sampled_from(
+        ("", " + y", " - 2*y'", " + 1e308*y", " + (1+2i)*y'", " + y*y",
+         " + x*y")))
+    equation = f"{lhs} = {draw(forcing_texts(max_power=100))}"
+    flags = ["--json"] if draw(st.booleans()) else []
+    if draw(st.booleans()):
+        return ["verify", equation, *flags, "--",
+                draw(forcing_texts(max_power=100))]
+    options = (
+        ("--real", None),
+        ("--ivp", ("y(0)=1", "y(0)=1, y'(0)=0", "y(1e308)=1", "y(0)=x")),
+        ("--roots", ("0:1", "1:1", "1e308:1", "i:1, -i:1", "1")),
+        ("--verify-points", ("1", "2", "50", "1000", "10001")))
+    for flag, values in options:
+        if draw(st.integers(0, 3)) == 0:
+            flags.append(flag)
+            if values:
+                flags.append(draw(st.sampled_from(values)))
+    return ["solve", equation, *flags]
 
 
 def random_poly(rng: random.Random, max_degree: int = 4) -> Poly:

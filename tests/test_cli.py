@@ -1,12 +1,16 @@
 """Command-line interface: output formats, exit codes, golden reports."""
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
 
-from expode import NonConvergence, SingularSystem
+from expode import NonConvergence, SingularSystem, solve_equation
 from expode.cli import main
+from strategies import cli_argvs
 
 GOLDEN_REPEATED_ROOT = """\
 {
@@ -316,6 +320,19 @@ def test_user_roots_validated_against_equation(capsys):
     assert capsys.readouterr().err == "error: bad multiplicity in '1:x'\n"
 
 
+@pytest.mark.parametrize("roots, message", [
+    ("nope", "roots entries look like 'root:multiplicity', got 'nope'"),
+    ("1:1", "roots multiplicities must sum to the operator order"),
+    ("1:2", "roots does not reproduce the characteristic polynomial"),
+])
+def test_roots_errors_name_the_argument_and_the_flag(capsys, roots, message):
+    with pytest.raises(ValueError) as exc:
+        solve_equation("y'' - y = 0", roots=roots)
+    assert str(exc.value) == message
+    assert main(["solve", "y'' - y = 0", "--roots", roots]) == 2
+    assert capsys.readouterr().err == f"error: --{message}\n"
+
+
 def test_nonconvergence_exits_3(monkeypatch, capsys):
     def boom(op):
         raise NonConvergence("stuck")
@@ -545,3 +562,17 @@ def test_deep_nesting_exits_2(capsys, equation, pos):
     assert len(lines) == 3
     assert lines[0] == "error: expression nests too deeply"
     assert lines[2] == "  " + " " * pos + "^"
+
+
+@settings(max_examples=100, deadline=5000, derandomize=True)
+@given(argv=cli_argvs())
+def test_grammar_fuzz_ends_in_an_exit_code(argv):
+    # every command line over the input grammar ends in a documented exit
+    # code, argparse's usage errors included, within the deadline
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)

@@ -22,6 +22,7 @@ from strategies import (
     canonical_reference,
     complex_coeffs,
     ep_close,
+    exppoly_pairs,
     exppolys,
     kernel_exppolys,
     nonzero_polys,
@@ -119,6 +120,25 @@ def test_product_expands_exponents():
 def test_sum_with_zero_is_the_canonical_operand(f):
     want, zero = repr(ExpPoly(f.terms)), ExpPoly.zero()
     assert repr(f + zero) == repr(zero + f) == repr(f - zero) == want
+
+
+@settings(max_examples=300)
+@given(pair=exppoly_pairs())
+def test_sum_matches_the_constructor(pair):
+    # the term-by-term sum of aligned operands included
+    a, b = pair
+    assert repr(a + b) == repr(ExpPoly(a.terms + b.terms))
+    assert repr(a - b) == repr(ExpPoly(a.terms + (-b).terms))
+
+
+@settings(max_examples=200)
+@given(pair=exppoly_pairs(),
+       xs=st.lists(st.floats(-1, 1), min_size=1, max_size=4))
+def test_shared_rows_give_each_function_its_own_values(pair, xs):
+    # signed zero exponents included: 0j and -0j share one row
+    rows, hexed = {}, lambda vs: [(v.real.hex(), v.imag.hex()) for v in vs]
+    for f in pair:
+        assert hexed(f._sample(xs, rows)) == hexed(f.values(xs))
 
 
 def test_scale_by_zero():

@@ -1,9 +1,10 @@
 """Equation parsing, lowering, and rendering."""
 
 import cmath
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import expode.exppoly
@@ -34,8 +35,9 @@ from expode import (
 )
 from expode.parsing import Bin, Call, Neg, Num, VarX, YTerm
 from strategies import (ep_close, exp_factor_reference, exppolys,
-                        format_constant_reference, render_complex,
-                        render_floats, trig_argument_reference)
+                        forcing_texts, format_constant_reference,
+                        lower_reference, render_complex, render_floats,
+                        trig_argument_reference)
 
 
 def eval_ast(node, x):
@@ -668,6 +670,58 @@ def test_number_exponent_in_a_built_tree(base, value, expected):
     except EquationError as exc:
         got = (type(exc).__name__, str(exc), exc.pos)
     assert got == expected
+
+
+def _lowered(lower, expr):
+    """repr of the lowered value, or the error's class, message and position."""
+    try:
+        return repr(lower(expr))
+    except EquationError as exc:
+        return type(exc).__name__, str(exc), exc.pos
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=forcing_texts())
+# an overflow in a product, a scaling and a sum is an error before the
+# error of a later term
+@example(text="(1e300)*(1e300) + (0)/(0)")
+@example(text="(1e300)/(1e-300) + (0)/(0)")
+@example(text="1.7e308 + 1.7e308 + (0)/(0)")
+def test_lowering_matches_reference_bits(text):
+    expr = parse_expression(text)
+    assert _lowered(lower_rhs, expr) == _lowered(lower_reference, expr)
+
+
+TOO_MANY = "a product in the forcing holds more than 1201 coefficients"
+
+
+@pytest.mark.parametrize("equation, pos", [
+    # products up to degree 18,471, 11,100 and 2,000: 30 s, 9.9 s and
+    # 0.5 s of successive multiplication before the bound
+    ("y' = (x^100 - x^99)^100*(x^100-x)^100", 19),
+    ("y' = (x - x^73*x^38 - x^20)^100", 27),
+    ("y' = (x - x^20)^100", 15),
+    # degree 0 with a growing number of exponents, most of them merged only
+    # at the end: 14 s before the bound
+    ("y' = (exp(x) + exp(1.1i*x) + exp((0.3+0.7i)*x))^60", 47),
+    # one degree past the longest product test_long_chains_solve solves
+    ("y' = " + "*".join(["x"] * 1201), 2404),
+])
+def test_product_size_is_bounded(equation, pos):
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedForm) as exc:
+        compile_equation(equation)
+    assert time.perf_counter() - start < 2.0
+    assert (str(exc.value), exc.value.pos) == (TOO_MANY, pos)
+    assert equation[pos] in "*^"
+
+
+def test_product_size_counts_coefficients_before_cleaning():
+    # the forcing cancels to 0, but each power holds 1,201 coefficients
+    _, f = compile_equation("y' = (x^12 + 1)^100 - (x^12 + 1)^100")
+    assert f.is_zero
+    with pytest.raises(UnsupportedForm):
+        compile_equation("y' = (x^12 + 1)^100*x")
 
 
 # ---------------------------------------------------- initial conditions
