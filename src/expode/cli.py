@@ -50,11 +50,8 @@ def _needs_parens(text: str) -> bool:
 
 
 def _c_times(name: str, body: str) -> str:
-    if body == "1":
-        return name
-    if _needs_parens(body):
-        return f"{name}*({body})"
-    return f"{name}*{body}"
+    # a basis element renders as one unsigned product, so it needs no parens
+    return name if body == "1" else f"{name}*{body}"
 
 
 def _verdict(worst: VerifyReport, doc: dict | None) -> int:
@@ -144,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="expode",
         description="Solve linear constant-coefficient ODEs in closed form.")
     sub = parser.add_subparsers(dest="command", required=True)
-    points_help = "grid size for the pointwise residual check (2 to 10000)"
 
     ps = sub.add_parser("solve", help="solve an equation")
     ps.add_argument("equation", help="equation text, e.g. \"y'' + y = exp(x)\"")
@@ -156,18 +152,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--roots", metavar="ROOTS",
                     help="skip root finding; comma-separated root:multiplicity "
                          "pairs, e.g. \"1:2, -1:1\"")
-    ps.add_argument("--json", action="store_true", help="machine-readable output")
-    ps.add_argument("--verify-points", type=int, default=50, metavar="N",
-                    help=points_help)
     ps.set_defaults(func=cmd_solve)
 
     pv = sub.add_parser("verify", help="check a candidate solution")
     pv.add_argument("equation")
     pv.add_argument("candidate", help="expression to test, e.g. \"x*exp(x)\"")
-    pv.add_argument("--json", action="store_true", help="machine-readable output")
-    pv.add_argument("--verify-points", type=int, default=50, metavar="N",
-                    help=points_help)
     pv.set_defaults(func=cmd_verify)
+    for p in (ps, pv):  # after its own arguments, as --help lists them
+        p.add_argument("--json", action="store_true",
+                       help="machine-readable output")
+        p.add_argument("--verify-points", type=int, default=50, metavar="N",
+                       help="grid size for the pointwise residual check "
+                            "(2 to 10000)")
     return parser
 
 

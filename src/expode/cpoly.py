@@ -224,6 +224,17 @@ def _root_pairs(pairs) -> tuple[tuple[complex, int], ...]:
     return out
 
 
+def _separated(pairs, sep: float, message: str) -> None:
+    """ValueError(message) when two roots of pairs lie within sep of each
+    other.  The parts are compared first, so abs() meets only a difference
+    whose parts are at most sep, and cannot overflow."""
+    for i, (r, _) in enumerate(pairs):
+        for s, _ in pairs[i + 1:]:
+            d = r - s
+            if abs(d.real) <= sep and abs(d.imag) <= sep and abs(d) <= sep:
+                raise ValueError(message)
+
+
 def _conjugate_pairs(zs, labels, bounds) -> list[tuple[int, int | None]]:
     """(i, j) for each item i that no earlier item took, in order: j is the
     nearest later item not yet taken whose label equals i's and whose
@@ -283,12 +294,8 @@ class Factorization(Record):
                    min_separation: float = DEFAULT_CLUSTER_TOL) -> Factorization:
         """Build a user-supplied factorization, rejecting near-coincident roots."""
         fact = cls(tuple(pairs), leading)
-        rs = [r for r, _ in fact.pairs]
-        for i in range(len(rs)):
-            for j in range(i + 1, len(rs)):
-                if abs(rs[i] - rs[j]) <= min_separation:
-                    raise ValueError(
-                        "roots closer than the clustering tolerance must be merged")
+        _separated(fact.pairs, min_separation,
+                   "roots closer than the clustering tolerance must be merged")
         return fact
 
 

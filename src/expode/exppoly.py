@@ -154,8 +154,6 @@ class ExpPoly(Record):
 
     def scale(self, c: complex) -> ExpPoly:
         c = complex(c)
-        if c == 0:
-            return ExpPoly.zero()
         return ExpPoly._trusted((lam, p.scale(c)) for lam, p in self.terms)
 
     def __mul__(self, other: ExpPoly) -> ExpPoly:
@@ -293,7 +291,10 @@ def realify(f: ExpPoly) -> TrigForm:
     match within tolerance.
     """
     tol = EXP_MERGE_TOL
-    scale = 1.0 + f.max_coeff()
+    # f's largest coefficient capped at 1: the tolerances stay relative for
+    # a small f, whose digits an absolute 1 would clean away
+    size = min(1.0, f.max_coeff())
+    scale = size + f.max_coeff()
     real_terms: list[tuple[float, Poly]] = []
     upper: list[tuple[complex, Poly]] = []
     lower: list[tuple[complex, Poly]] = []
@@ -325,7 +326,7 @@ def realify(f: ExpPoly) -> TrigForm:
         alpha = 0.5 * (lam.real + mu.real)
         beta = 0.5 * (lam.imag - mu.imag)
         half = (p + _conjugate_poly(q)).scale(0.5)
-        floor = COEFF_CLEAN_REL * max(1.0, half.max_abs())
+        floor = COEFF_CLEAN_REL * max(size, half.max_abs())
         cos_part = Poly(tuple(
             complex(2.0 * c.real, 0.0) if abs(2.0 * c.real) > floor else 0j
             for c in half.coeffs))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 
 from .cpoly import (DEFAULT_CLUSTER_TOL, Factorization, Poly, Record,
-                    _root_pairs, find_roots)
+                    _root_pairs, _separated, find_roots)
 from .exppoly import EXP_MERGE_TOL, ExpPoly, coeff_distance
 
 
@@ -75,11 +75,8 @@ class FactoredOp(Record):
         pairs = _root_pairs(factors)
         if not pairs:
             raise ValueError("operator order must be >= 1")
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                if abs(pairs[i][0] - pairs[j][0]) <= EXP_MERGE_TOL:
-                    raise ValueError(
-                        "factor roots must be distinct beyond the merge tolerance")
+        _separated(pairs, EXP_MERGE_TOL,
+                   "factor roots must be distinct beyond the merge tolerance")
         object.__setattr__(self, "factors", pairs)
 
     @property

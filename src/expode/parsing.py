@@ -27,7 +27,7 @@ import functools
 import math
 import re
 
-from .cpoly import Poly, Record, _add, _checked, _mul, _neg, _scale
+from .cpoly import Poly, Record, _add, _checked, _mul, _neg
 from .exppoly import EXP_MERGE_TOL, ExpPoly, TrigForm, _kept
 from .exppoly import realify as _to_trig
 from .operators import LinOp
@@ -414,19 +414,8 @@ def _lin_bin(e: Bin, a_c: complex, a_l: dict[int, complex], b_c: complex,
 
 
 def _contains_y(expr: Expr) -> bool:
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, YTerm):
-            return True
-        if isinstance(node, Neg):
-            stack.append(node.operand)
-        elif isinstance(node, Call):
-            stack.append(node.arg)
-        elif isinstance(node, Bin):
-            stack.append(node.left)
-            stack.append(node.right)
-    return False
+    # the preorder marks every record below expr by its class
+    return isinstance(expr, YTerm) or YTerm in expr._preorder()
 
 
 def _additive_terms(expr: Expr) -> list[tuple[int, Expr]]:
@@ -565,12 +554,14 @@ def _lower(expr: Expr) -> dict[complex, tuple]:
                 denom = _constant_of(_terms(_lower(expr.right)), expr, "divisor")
                 if denom == 0:
                     raise UnsupportedForm("division by zero", expr.pos)
-                steps.append(1.0 / denom)
+                steps.append(denom)
             expr = expr.left
         out = _lower(expr)
         for step in reversed(steps):
             if isinstance(step, complex):
-                out = {lam: _checked(_scale(cs, step))
+                # divided as the left side divides, so a constant text gives
+                # the same double on both sides
+                out = {lam: _checked(tuple(c / step for c in cs))
                        for lam, cs in out.items()}
             else:
                 out = _product(out, _lower(step.right), step.pos)

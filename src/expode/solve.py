@@ -106,8 +106,12 @@ def particular_solution(factored: FactoredOp, rhs: ExpPoly) -> ExpPoly:
     Each rhs term keeps its exponent exactly.  Q(D) w = q is solved by
     back-substitution on the coefficients, one factor (D + lam - r) at a
     time, so a forcing exponent near a root keeps full relative accuracy.
+    Raises NonConvergence when that arithmetic leaves the double range.
     """
-    return rhs._inverse(factored.factors)
+    try:
+        return rhs._inverse(factored.factors)
+    except (ValueError, OverflowError) as exc:
+        raise NonConvergence("particular solution overflows") from exc
 
 
 def ansatz_form(factored: FactoredOp, b: complex, j: int) -> AnsatzForm:
@@ -226,7 +230,7 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
         raise ValueError(f"need at most {MAX_VERIFY_POINTS} sample points")
     try:
         residual = op.apply(y) - f
-    except ValueError as exc:  # the only ValueError here is a non-finite value
+    except (ValueError, OverflowError) as exc:  # a value left the double range
         raise NonConvergence("residual L[y] - f overflows") from exc
     symbolic = residual.max_coeff() / (1.0 + f.max_coeff())
     a, b = span

@@ -492,12 +492,13 @@ def _lower_reference(expr: Expr) -> dict[complex, Poly]:
                     "divisor")
                 if denom == 0:
                     raise UnsupportedForm("division by zero", expr.pos)
-                steps.append(1.0 / denom)
+                steps.append(denom)
             expr = expr.left
         out = _lower_reference(expr)
         for step in reversed(steps):
             if isinstance(step, complex):
-                out = {lam: p.scale(step) for lam, p in out.items()}
+                out = {lam: Poly(tuple(c / step for c in p.coeffs))
+                       for lam, p in out.items()}
             else:
                 out = _product_reference(out, _lower_reference(step))
         return out
@@ -562,7 +563,7 @@ FORCING_CONSTANTS = ("0", "0.0", "-0.0", "1", "2", "0.5", "3i", "1e-308",
                      "2.5e-300i", "1e300", "1e308", "1.7e308", "-1.7e308")
 _atoms = st.sampled_from(FORCING_CONSTANTS + ("x", "i"))
 _affine_args = st.one_of(
-    st.sampled_from(("x", "-x", "0*x", "(1+2i)*x", "1e308*x")),
+    st.sampled_from(("x", "-x", "0*x", "(1+2i)*x", "1e308*x", "1.5e308i*x")),
     st.builds("{}*x + {}".format, _atoms, _atoms))
 
 
@@ -626,8 +627,8 @@ def cli_argvs(draw):
     or verify with a candidate from the same grammar."""
     order = draw(st.integers(0, 8) | st.sampled_from((30, 100, 101)))
     lhs = f"y^({order})" + draw(st.sampled_from(
-        ("", " + y", " - 2*y'", " + 1e308*y", " + (1+2i)*y'", " + y*y",
-         " + x*y")))
+        ("", " + y", " - 2*y'", " + 1e308*y", " - 1.5e308*y", " + (1+2i)*y'",
+         " + y*y", " + x*y")))
     equation = f"{lhs} = {draw(forcing_texts(max_power=100))}"
     flags = ["--json"] if draw(st.booleans()) else []
     if draw(st.booleans()):
@@ -636,7 +637,8 @@ def cli_argvs(draw):
     options = (
         ("--real", None),
         ("--ivp", ("y(0)=1", "y(0)=1, y'(0)=0", "y(1e308)=1", "y(0)=x")),
-        ("--roots", ("0:1", "1:1", "1e308:1", "i:1, -i:1", "1")),
+        ("--roots", ("0:1", "1:1", "1e308:1", "1.5e308:1, 1.5e308i:1",
+                     "i:1, -i:1", "1")),
         ("--verify-points", ("1", "2", "50", "1000", "10001")))
     for flag, values in options:
         if draw(st.integers(0, 3)) == 0:

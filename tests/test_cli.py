@@ -6,7 +6,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from expode import NonConvergence, SingularSystem, solve_equation
 from expode.cli import main
@@ -564,8 +564,64 @@ def test_deep_nesting_exits_2(capsys, equation, pos):
     assert lines[2] == "  " + " " * pos + "^"
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    # the back-substitution grows the coefficients like 200!; an overflow in
+    # the solver's own arithmetic is a numeric failure, not bad input
+    (["solve", "y' - y = x^100*x^100"], 3,
+     "error: particular solution overflows\n"),
+    # two finite roots whose difference has a modulus past the double range
+    (["solve", "y'' = 0", "--roots", "1.5e308:1, 1.5e308i:1"], 2,
+     "error: polynomial coefficients must be finite\n"),
+    # the same difference between the forcing exponent and the root
+    (["solve", "y' - 1.5e308*y = exp(1.5e308i*x)"], 3,
+     "error: particular solution overflows\n"),
+    (["verify", "y' - 1.5e308*y = 0", "exp(1.5e308i*x)"], 3,
+     "error: residual L[y] - f overflows\n"),
+])
+def test_overflow_ends_in_an_exit_code(capsys, argv, code, message):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message
+
+
+def test_real_form_keeps_a_small_answer(capsys):
+    # the real form's tolerances follow the size of the function, so a
+    # verified answer of size 5e-14 is printed, not cleaned to 0
+    assert main(["solve", "y'' + y = 1e-13*sin(x)", "--real"]) == 0
+    out = capsys.readouterr().out
+    assert "particular solution: -5e-14*x*cos(x)\n" in out
+
+
+def test_real_form_rejects_a_small_imaginary_part(capsys):
+    # an imaginary part far below 1 is not rounding dust of a small answer
+    assert main(["solve", "y' - y = 1e-12i*exp(2*x)", "--real"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: coefficients at a real exponent have imaginary "
+                   "parts\n")
+
+
+def test_real_form_still_cleans_rounding_dust(capsys):
+    # the fit leaves about 9e-18*cos(2*x) beside cos(x)
+    assert main(["solve", "y'''' + 5*y'' + 4*y = 0", "--real", "--ivp",
+                 "y(0)=1, y'(0)=0, y''(0)=-1, y'''(0)=0"]) == 0
+    assert "fitted solution: cos(x)\n" in capsys.readouterr().out
+
+
+def test_one_constant_text_gives_one_double_on_both_sides(capsys):
+    # 7/3 divides on the left side and on the forcing side alike
+    assert main(["solve", "y' - 7/3*y = exp(7/3*x)"]) == 0
+    out = capsys.readouterr().out
+    assert "  exp(2.3333333333333335*x)\n" in out
+    assert "particular solution: x*exp(2.3333333333333335*x)\n" in out
+
+
 @settings(max_examples=100, deadline=5000, derandomize=True)
 @given(argv=cli_argvs())
+@example(argv=["solve", "y'' = 0", "--roots", "1.5e308:1, 1.5e308i:1"])
+@example(argv=["solve", "y' - 1.5e308*y = exp(1.5e308i*x)"])
+@example(argv=["verify", "y' - 1.5e308*y = 0", "--", "exp(1.5e308i*x)"])
 def test_grammar_fuzz_ends_in_an_exit_code(argv):
     # every command line over the input grammar ends in a documented exit
     # code, argparse's usage errors included, within the deadline

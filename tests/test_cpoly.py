@@ -125,6 +125,15 @@ def test_from_pairs_accepts_separated_roots():
                        "(1j, 1)), leading=(2+0j))")
 
 
+def test_separation_check_does_not_overflow():
+    # |1.5e308 - 1.5e308i| leaves the double range; the parts tell the two
+    # roots apart without it
+    f = Factorization.from_pairs([(1.5e308 + 0j, 1), (1.5e308j, 1)])
+    assert f.degree == 2
+    with pytest.raises(ValueError, match="clustering tolerance"):
+        Factorization.from_pairs([(1.5e308 + 0j, 1), (1.5e308 + 1e-9j, 1)])
+
+
 def test_coefficients_match_tolerances():
     p = Poly([1, 1])
     assert coefficients_match(p, Poly([1 + 1e-10, 1]))

@@ -85,6 +85,13 @@ def test_factored_op_validation():
         FactoredOp(())
 
 
+def test_factored_op_separation_does_not_overflow():
+    fac = FactoredOp(((1.5e308 + 0j, 1), (1.5e308j, 1)))
+    assert fac.order == 2
+    with pytest.raises(ValueError, match="merge tolerance"):
+        FactoredOp(((1.5e308j, 1), (1e-12 + 1.5e308j, 1)))
+
+
 def test_factored_to_linop():
     fac = FactoredOp(((1 + 0j, 2),))
     assert fac.to_linop() == LinOp((-2 + 0j, 1 + 0j))

@@ -292,6 +292,15 @@ def test_lower_division_by_constant():
     assert f == ExpPoly.term(1 + 0j, Poly([0.5]))
 
 
+def test_division_gives_one_double_on_both_sides():
+    # the forcing side divides by a constant as the left side does, so the
+    # text 7/3 is the nearest double to 7/3 in the operator, in the forcing
+    # exponent and through parse_constant (the --roots and --ivp path)
+    op, rhs = compile_equation("y' - 7/3*y = exp(7/3*x)")
+    assert rhs.terms[0][0] == -op.coeffs[0] == 7 / 3
+    assert parse_constant("7/3") == 7 / 3
+
+
 def test_lower_rejects_outside_class():
     with pytest.raises(UnsupportedForm):
         parse_exppoly("exp(x^2)")
