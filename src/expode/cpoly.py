@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from itertools import zip_longest
 
 DEFAULT_CLUSTER_TOL = 1e-6
 COEFF_REL_TOL = 1e-8
@@ -224,14 +225,19 @@ def _root_pairs(pairs) -> tuple[tuple[complex, int], ...]:
     return out
 
 
+def _near(a: complex, b: complex, tol: float) -> bool:
+    """|a - b| <= tol.  The parts are compared first, so abs() meets only a
+    difference whose parts are at most tol, and cannot overflow."""
+    d = a - b
+    return abs(d.real) <= tol and abs(d.imag) <= tol and abs(d) <= tol
+
+
 def _separated(pairs, sep: float, message: str) -> None:
     """ValueError(message) when two roots of pairs lie within sep of each
-    other.  The parts are compared first, so abs() meets only a difference
-    whose parts are at most sep, and cannot overflow."""
+    other."""
     for i, (r, _) in enumerate(pairs):
         for s, _ in pairs[i + 1:]:
-            d = r - s
-            if abs(d.real) <= sep and abs(d.imag) <= sep and abs(d) <= sep:
+            if _near(r, s, sep):
                 raise ValueError(message)
 
 
@@ -250,9 +256,9 @@ def _conjugate_pairs(zs, labels, bounds) -> list[tuple[int, int | None]]:
             for j in range(i + 1, len(zs)):
                 if taken[j] or labels[j] != label:
                     continue
-                d = abs(zs[j].conjugate() - z)
-                if d <= bound and d < best_d:
-                    best, best_d = j, d
+                w = zs[j].conjugate()
+                if _near(w, z, bound) and abs(w - z) < best_d:
+                    best, best_d = j, abs(w - z)
         if best is not None:
             taken[best] = True
         out.append((i, best))
@@ -302,14 +308,9 @@ class Factorization(Record):
 def coefficients_match(p: Poly, q: Poly, rel: float = COEFF_REL_TOL,
                        abs_floor: float = COEFF_ABS_TOL) -> bool:
     """Per-coefficient comparison; the absolute floor is scaled by max |coeff|."""
-    a, b = p.coeffs, q.coeffs
     floor = abs_floor * (1.0 + max(p.max_abs(), q.max_abs()))
-    for k in range(max(len(a), len(b))):
-        x = a[k] if k < len(a) else 0j
-        y = b[k] if k < len(b) else 0j
-        if abs(x - y) > rel * max(abs(x), abs(y)) + floor:
-            return False
-    return True
+    return all(_near(x, y, rel * max(abs(x), abs(y)) + floor)
+               for x, y in zip_longest(p.coeffs, q.coeffs, fillvalue=0j))
 
 
 def _start_points(monic: tuple[complex, ...]) -> list[complex]:
@@ -407,7 +408,7 @@ def _single_linkage(points: list[complex], tol: float) -> list[list[complex]]:
 
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            if abs(points[i] - points[j]) <= tol:
+            if _near(points[i], points[j], tol):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
@@ -435,7 +436,7 @@ def _refined(derivs: list[Poly], centroid: complex, mult: int,
         z -= step
         if abs(step) <= 4.0 * _EPS * (1.0 + abs(z)):
             break
-    if abs(z - centroid) > 10.0 * cut + 1e-12:
+    if not _near(z, centroid, 10.0 * cut + 1e-12):
         return centroid  # refinement wandered off; keep the plain centroid
     return z
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .cpoly import Poly, Record, _conjugate_pairs
+from .cpoly import Poly, Record, _conjugate_pairs, _near
 
 EXP_MERGE_TOL = 1e-9     # exponents closer than this are the same term
 COEFF_CLEAN_REL = 1e-12  # coefficients tiny relative to their own term get dropped
@@ -127,11 +127,10 @@ class ExpPoly(Record):
 
     def term_at(self, lam: complex, tol: float = EXP_MERGE_TOL) -> Poly | None:
         """Polynomial part at (approximately) the given exponent, else None."""
-        best, best_d = None, math.inf
+        lam, best, best_d = complex(lam), None, math.inf
         for mu, p in self.terms:
-            d = abs(mu - complex(lam))
-            if d <= tol and d < best_d:
-                best, best_d = p, d
+            if _near(mu, lam, tol) and abs(mu - lam) < best_d:
+                best, best_d = p, abs(mu - lam)
         return best
 
     def __add__(self, other: ExpPoly) -> ExpPoly:
@@ -182,6 +181,8 @@ class ExpPoly(Record):
         for lam, q in self.terms:
             w, resonance = list(q.coeffs), 0
             for r, mult in factors:
+                # abs(), not cpoly._near: past the double range, |lam - r|
+                # raises here, while dividing by lam - r would give 0 silently
                 if abs(lam - r) <= EXP_MERGE_TOL:
                     resonance += mult
                     continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 
 from .cpoly import (DEFAULT_CLUSTER_TOL, Factorization, Poly, Record,
-                    _root_pairs, _separated, find_roots)
+                    _near, _root_pairs, _separated, find_roots)
 from .exppoly import EXP_MERGE_TOL, ExpPoly, coeff_distance
 
 
@@ -86,7 +86,7 @@ class FactoredOp(Record):
     def multiplicity(self, lam: complex) -> int:
         """Total multiplicity of the roots within EXP_MERGE_TOL of lam, 0 when
         none: they count together as lam, as in the particular solution."""
-        return sum(m for r, m in self.factors if abs(lam - r) <= EXP_MERGE_TOL)
+        return sum(m for r, m in self.factors if _near(lam, r, EXP_MERGE_TOL))
 
     def char_poly(self) -> Poly:
         return Factorization(self.factors).expand()

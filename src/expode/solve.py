@@ -309,9 +309,12 @@ def _factored_from_user(op: LinOp, text: str) -> FactoredOp:
     factored = FactoredOp(tuple(pairs))
     if factored.order != op.order:
         raise RootsError("roots multiplicities must sum to the operator order")
-    if not coefficients_match(factored.char_poly(), op.char_poly()):
-        raise RootsError(
-            "roots does not reproduce the characteristic polynomial")
+    try:
+        if not coefficients_match(factored.char_poly(), op.char_poly()):
+            raise RootsError(
+                "roots does not reproduce the characteristic polynomial")
+    except OverflowError as exc:  # a coefficient's modulus is past the range
+        raise NonConvergence(f"roots check overflows: {exc}") from exc
     return factored
 
 

@@ -638,7 +638,7 @@ def cli_argvs(draw):
         ("--real", None),
         ("--ivp", ("y(0)=1", "y(0)=1, y'(0)=0", "y(1e308)=1", "y(0)=x")),
         ("--roots", ("0:1", "1:1", "1e308:1", "1.5e308:1, 1.5e308i:1",
-                     "i:1, -i:1", "1")),
+                     "1.5e308i:1", "i:1, -i:1", "1")),
         ("--verify-points", ("1", "2", "50", "1000", "10001")))
     for flag, values in options:
         if draw(st.integers(0, 3)) == 0:

@@ -465,6 +465,17 @@ def test_nonfinite_ivp_fit_exits_3(capsys):
     assert err == "error: initial-condition fit is not finite at x = 700\n"
 
 
+def test_ivp_residual_left_by_the_fit_exits_3(capsys):
+    # the basis exp(x), exp(1.00000001*x) is nearly dependent: the fit's
+    # residual 1.5e-8 is above its bound 1e-9 * (1 + 1)
+    assert main(["solve", "y'' - 2.00000001*y' + 1.00000001*y = 0",
+                 "--roots", "1:1, 1.00000001:1",
+                 "--ivp", "y(3)=1, y'(3)=0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: initial-condition solve left residual 1.490e-08\n"
+
+
 GOLDEN_EXACT_ZERO_ROOT = """\
 equation: y^(4) + 1i*y''' = 1
 characteristic polynomial: i*r^3 + r^4
@@ -577,6 +588,16 @@ def test_deep_nesting_exits_2(capsys, equation, pos):
      "error: particular solution overflows\n"),
     (["verify", "y' - 1.5e308*y = 0", "exp(1.5e308i*x)"], 3,
      "error: residual L[y] - f overflows\n"),
+    # the same difference between a coefficient of the operator and one of
+    # the characteristic polynomial that --roots gives
+    (["solve", "y' - 1.5e308*y = 0", "--roots", "1.5e308i:1"], 2,
+     "error: --roots does not reproduce the characteristic polynomial\n"),
+    # an operator coefficient whose own modulus is past the double range,
+    # as in test_root_finder_overflow_exits_3 but met by the --roots check
+    (["solve", "y' + (1.5e308 + 1.5e308i)*y = 0", "--roots", "1:1"], 3,
+     "error: roots check overflows: absolute value too large\n"),
+    (["solve", "y'' + (1.5e308 + 1.5e308i)*y' = 0", "--roots", "0:1, 1:1"],
+     3, "error: roots check overflows: absolute value too large\n"),
 ])
 def test_overflow_ends_in_an_exit_code(capsys, argv, code, message):
     assert main(argv) == code
@@ -622,6 +643,10 @@ def test_one_constant_text_gives_one_double_on_both_sides(capsys):
 @example(argv=["solve", "y'' = 0", "--roots", "1.5e308:1, 1.5e308i:1"])
 @example(argv=["solve", "y' - 1.5e308*y = exp(1.5e308i*x)"])
 @example(argv=["verify", "y' - 1.5e308*y = 0", "--", "exp(1.5e308i*x)"])
+@example(argv=["solve", "y' - 1.5e308*y = 0", "--roots", "1.5e308i:1"])
+@example(argv=["solve", "y' + (1.5e308 + 1.5e308i)*y = 0", "--roots", "1:1"])
+@example(argv=["solve", "y'' + (1.5e308 + 1.5e308i)*y' = 0",
+               "--roots", "0:1, 1:1"])
 def test_grammar_fuzz_ends_in_an_exit_code(argv):
     # every command line over the input grammar ends in a documented exit
     # code, argparse's usage errors included, within the deadline

@@ -67,6 +67,8 @@ def test_term_at():
     assert f.term_at(1 + 0j) == Poly([2])
     assert f.term_at(1 + 1e-12) == Poly([2])
     assert f.term_at(3 + 0j) is None
+    # |-1.5e308i - 1.5e308| is past the double range: no term, no error
+    assert ExpPoly.term(1.5e308, Poly([1])).term_at(-1.5e308j) is None
 
 
 def test_equality_is_canonical():
@@ -300,6 +302,10 @@ def test_realify_passes_real_terms_through():
 def test_realify_rejects_lone_complex_exponent():
     with pytest.raises(NotConjugateClosed):
         realify(ExpPoly.term(1j, Poly([1])))
+    # the distance to the other term's conjugate is past the double range
+    f = ExpPoly(((1.5e308 + 1.5e308j, Poly([1])), (-1e-5j, Poly([1]))))
+    with pytest.raises(NotConjugateClosed):
+        realify(f)
 
 
 def test_realify_rejects_imaginary_coefficient_at_real_exponent():

@@ -110,6 +110,12 @@ def test_factor_op_complex_pair():
     assert fac.factors == ((-1j, 1), (1j, 1))
 
 
+def test_multiplicity_far_past_the_double_range():
+    # |1.5e308i - 1.5e308| is past the double range: not a resonance, and
+    # no OverflowError
+    assert FactoredOp(((1.5e308 + 0j, 1),)).multiplicity(1.5e308j) == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(fac=factored_ops(), y=exppolys)
 def test_path_agreement(fac, y):

@@ -89,6 +89,10 @@ def test_real_basis_requires_conjugate_closure():
         real_homogeneous_solution(FactoredOp(((1j, 1),)))
     with pytest.raises(NotConjugateClosed):
         real_homogeneous_solution(FactoredOp(((1j, 2), (-1j, 1))))
+    # the distance to the other root's conjugate is past the double range
+    with pytest.raises(NotConjugateClosed):
+        real_homogeneous_solution(
+            FactoredOp(((1.5e308 + 1.5e308j, 1), (-1e-5j, 1))))
 
 
 def test_real_basis_still_annihilated():
@@ -241,6 +245,9 @@ def test_ansatz_nonresonant():
     fac = FactoredOp(((1 + 0j, 2),))
     af = ansatz_form(fac, 5 + 0j, 3)
     assert (af.exponent, af.resonance_order, af.degree) == (5 + 0j, 0, 3)
+    # |1.5e308i - 1.5e308| is past the double range: not resonant
+    fac = FactoredOp(((1.5e308 + 0j, 1),))
+    assert ansatz_form(fac, 1.5e308j, 0).resonance_order == 0
 
 
 def test_ansatz_resonant():
