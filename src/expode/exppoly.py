@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import zip_longest
 
 from .cpoly import Poly, Record, _conjugate_pairs, _near
 
@@ -296,49 +297,41 @@ def realify(f: ExpPoly) -> TrigForm:
     # a small f, whose digits an absolute 1 would clean away
     size = min(1.0, f.max_coeff())
     scale = size + f.max_coeff()
-    real_terms: list[tuple[float, Poly]] = []
-    upper: list[tuple[complex, Poly]] = []
-    lower: list[tuple[complex, Poly]] = []
-    for lam, p in f.terms:
-        if abs(lam.imag) <= tol:
-            bad = max((abs(c.imag) for c in p.coeffs), default=0.0)
-            if bad > tol * scale:
+    # real exponents first, where no later item can take them, then upper,
+    # then lower: an earlier item picks its partner, so each upper term
+    # takes the nearest lower one
+    terms = sorted(f.terms, key=lambda t: 0 if abs(t[0].imag) <= tol
+                   else 1 if t[0].imag > 0 else 2)
+    lams = [lam for lam, _ in terms]
+    bounds = [None if abs(lam.imag) <= tol else tol for lam in lams]
+    entries: list[tuple[float, float, Poly, Poly]] = []
+    for i, j in _conjugate_pairs(lams, [0] * len(lams), bounds):
+        lam, p = terms[i]
+        if bounds[i] is None:
+            if any(abs(c.imag) > tol * scale for c in p.coeffs):
                 raise NotConjugateClosed(
                     "coefficients at a real exponent have imaginary parts")
-            real_terms.append((lam.real, _real_poly(p, lambda c: c.real)))
-        elif lam.imag > 0:
-            upper.append((lam, p))
-        else:
-            lower.append((lam, p))
-
-    entries: list[tuple[float, float, Poly, Poly]] = []
-    terms = upper + lower
-    lams = [lam for lam, _ in terms]
-    for i, j in _conjugate_pairs(lams, [0] * len(lams), [tol] * len(lams)):
-        lam, p = terms[i]
+            entries.append((lam.real, 0.0, _real_poly(p, lambda c: c.real),
+                            Poly()))
+            continue
         if j is None:
             raise NotConjugateClosed(
                 f"no conjugate partner for exponent {lam!r}")
         mu, q = terms[j]
-        mismatch = (p - _conjugate_poly(q)).max_abs()
-        if mismatch > tol * scale:
+        if not all(_near(a, b.conjugate(), tol * scale) for a, b
+                   in zip_longest(p.coeffs, q.coeffs, fillvalue=0j)):
             raise NotConjugateClosed(
                 f"conjugate polynomial parts differ at exponent {lam!r}")
         alpha = 0.5 * (lam.real + mu.real)
         beta = 0.5 * (lam.imag - mu.imag)
         half = (p + _conjugate_poly(q)).scale(0.5)
         floor = COEFF_CLEAN_REL * max(size, half.max_abs())
-        cos_part = Poly(tuple(
-            complex(2.0 * c.real, 0.0) if abs(2.0 * c.real) > floor else 0j
-            for c in half.coeffs))
-        sin_part = Poly(tuple(
-            complex(-2.0 * c.imag, 0.0) if abs(2.0 * c.imag) > floor else 0j
-            for c in half.coeffs))
+        cos_part = _real_poly(half, lambda c: 2.0 * c.real
+                              if abs(2.0 * c.real) > floor else 0.0)
+        sin_part = _real_poly(half, lambda c: -2.0 * c.imag
+                              if abs(2.0 * c.imag) > floor else 0.0)
         if cos_part.is_zero and sin_part.is_zero:
             continue
         entries.append((alpha, beta, cos_part, sin_part))
-
-    for alpha, p in real_terms:
-        entries.append((alpha, 0.0, p, Poly()))
     entries.sort(key=lambda e: (e[0], e[1]))
     return TrigForm(tuple(entries))

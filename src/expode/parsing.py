@@ -776,8 +776,6 @@ def _render_trig(t: TrigForm) -> str:
         ef = None if alpha == 0.0 else _exp_factor(complex(alpha, 0.0))
         barg = _monomial_body(beta, 1, "x")[1]  # beta > 0
         for poly, fn in ((cp, "cos"), (sp, "sin")):
-            if poly.is_zero:
-                continue
             trig = f"{fn}({barg})"
             pieces.extend(_factored_pieces(poly, trig if ef is None
                                            else f"{trig}*{ef}"))

@@ -122,11 +122,11 @@ def ansatz_form(factored: FactoredOp, b: complex, j: int) -> AnsatzForm:
 
 
 def _derivative_table(fs, x0: complex, count: int) -> list[list[complex]]:
-    """table[d][j] = fs[j]^(d)(x0) for d < count."""
-    table = []
-    for _ in range(count):
-        table.append([f(x0) for f in fs])
+    """table[d][j] = fs[j]^(d)(x0) for d < count, count >= 1."""
+    table = [[f(x0) for f in fs]]
+    for _ in range(count - 1):
         fs = [f.derivative() for f in fs]
+        table.append([f(x0) for f in fs])
     return table
 
 
@@ -175,7 +175,7 @@ def fit_initial_conditions(solution: FullSolution,
         residual = max(abs(sum(a * c for a, c in zip(row, coeff)) - t)
                        for row, t in zip(matrix, target))
         bound = 1e-9 * (1.0 + max(abs(t) for t in target))
-    except OverflowError as exc:
+    except (ValueError, OverflowError) as exc:  # a value left the double range
         raise NonConvergence(
             f"initial-condition system overflows at x = {x0.real:g}") from exc
     if not (all(map(cmath.isfinite, coeff)) and math.isfinite(residual)):

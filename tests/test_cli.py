@@ -476,6 +476,16 @@ def test_ivp_residual_left_by_the_fit_exits_3(capsys):
     assert err == "error: initial-condition solve left residual 1.490e-08\n"
 
 
+def test_ivp_fit_skips_the_unused_derivative(capsys):
+    # the fit reads y and y' only; the basis' second derivative, whose
+    # coefficient 1e310 leaves the double range, is never formed
+    assert main(["solve", "y'' - 1e155i*y' = 0", "--roots", "0:1, 1e155i:1",
+                 "--ivp", "y(0)=1, y'(0)=0"]) == 0
+    out = capsys.readouterr().out
+    assert "fitted solution: 1\n" in out
+    assert "status: verified\n" in out
+
+
 GOLDEN_EXACT_ZERO_ROOT = """\
 equation: y^(4) + 1i*y''' = 1
 characteristic polynomial: i*r^3 + r^4
@@ -598,6 +608,10 @@ def test_deep_nesting_exits_2(capsys, equation, pos):
      "error: roots check overflows: absolute value too large\n"),
     (["solve", "y'' + (1.5e308 + 1.5e308i)*y' = 0", "--roots", "0:1, 1:1"],
      3, "error: roots check overflows: absolute value too large\n"),
+    # a derivative of the basis that the fit reads leaves the double range
+    (["solve", "y''' - 1e155i*y'' = 0", "--roots", "0:2, 1e155i:1",
+      "--ivp", "y(0)=1, y'(0)=0, y''(0)=0"], 3,
+     "error: initial-condition system overflows at x = 0\n"),
 ])
 def test_overflow_ends_in_an_exit_code(capsys, argv, code, message):
     assert main(argv) == code
@@ -647,6 +661,8 @@ def test_one_constant_text_gives_one_double_on_both_sides(capsys):
 @example(argv=["solve", "y' + (1.5e308 + 1.5e308i)*y = 0", "--roots", "1:1"])
 @example(argv=["solve", "y'' + (1.5e308 + 1.5e308i)*y' = 0",
                "--roots", "0:1, 1:1"])
+@example(argv=["solve", "y''' - 1e155i*y'' = 0", "--roots", "0:2, 1e155i:1",
+               "--ivp", "y(0)=1, y'(0)=0, y''(0)=0"])
 def test_grammar_fuzz_ends_in_an_exit_code(argv):
     # every command line over the input grammar ends in a documented exit
     # code, argparse's usage errors included, within the deadline

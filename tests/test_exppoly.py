@@ -317,6 +317,10 @@ def test_realify_rejects_mismatched_pair():
     f = ExpPoly.term(1j, Poly([1])) + ExpPoly.term(-1j, Poly([0, 1]))
     with pytest.raises(NotConjugateClosed):
         realify(f)
+    # coefficients whose difference has a modulus past the double range
+    f = ExpPoly(((1j, Poly([1.5e308])), (-1j, Poly([1.5e308j]))))
+    with pytest.raises(NotConjugateClosed):
+        realify(f)
 
 
 def test_realify_zero():

@@ -631,6 +631,11 @@ FRONT_END_PINS = [
     ("y' = 0^(-1)",
      ('UnsupportedForm',
       'cannot fold constant power: 0.0 to a negative or complex power', 6)),
+    # a finite base whose power is nan+nanj, with no exception raised
+    ("y' = (1e200+1e200i)^2",
+     ('UnsupportedForm', 'constant power overflows', 19)),
+    ("(1e200+1e200i)^2*y' + y = 0",
+     ('UnsupportedForm', 'constant power overflows', 14)),
     ('y^(1.5) = 0',
      ('ParseError', 'derivative order must be a nonnegative integer', 3)),
     ("1e-300*y' + 1e300*y = 0",

@@ -451,6 +451,12 @@ def test_elimination_pivots_and_returns_determinant():
         _eliminate([[1, 2], [2, 4]], [1, 1])
 
 
+def test_wronskian_forms_only_the_rows_it_uses():
+    # two rows; the second derivative of exp(1e155i*x) would overflow
+    basis = (ExpPoly.constant(1), ExpPoly.term(1e155j, Poly([1])))
+    assert wronskian_determinant(basis) == 1.0
+
+
 def test_wronskian_of_dependent_set_vanishes():
     e = ExpPoly.term(1 + 0j, Poly([1]))
     assert wronskian_determinant((e, e)) < 1e-12
