@@ -78,9 +78,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     op, hom, part, fitted = res.op, res.homogeneous, res.particular, res.fitted
     pairs = Factorization(res.factored.factors).pairs
 
-    basis_text = [render(b, realify=args.real) for b in res.basis]
-    part_text = render(part, realify=args.real)
-    fitted_text = None if fitted is None else render(fitted, realify=args.real)
+    try:  # a real-form coefficient past the double range is a numeric failure
+        basis_text = [render(b, realify=args.real) for b in res.basis]
+        part_text = render(part, realify=args.real)
+        fitted_text = None if fitted is None else render(fitted, realify=args.real)
+    except (OverflowError, ValueError) as exc:
+        raise NonConvergence(f"real form overflows: {exc}") from exc
 
     if args.json:
         return _verdict(res.residuals, {

@@ -288,12 +288,16 @@ class Factorization(Record):
         return sum(m for _, m in self.pairs)
 
     def expand(self) -> Poly:
-        acc = Poly((self.leading,))
+        # acc * (x - r) on tuples, each slot summed as _mul sums it
+        acc = (self.leading,)
         for r, m in self.pairs:
-            lin = Poly((-r, 1.0))
+            nr = -r
             for _ in range(m):
-                acc = acc * lin
-        return acc
+                acc = _checked((0j + acc[0] * nr,)
+                               + tuple((0j + a * (1 + 0j)) + b * nr
+                                       for a, b in zip(acc, acc[1:]))
+                               + (0j + acc[-1] * (1 + 0j),))
+        return Poly._trusted(acc)
 
     @classmethod
     def from_pairs(cls, pairs, leading: complex = 1.0,
@@ -346,9 +350,10 @@ def _aberth(monic: tuple[complex, ...], deriv: Poly) -> list[complex]:
     if n == 1:
         return [-monic[0]]
     zs = _start_points(monic)
-    # Horner's rule with a running bound on its own rounding error, and P'
-    # from 0j as Poly.__call__ runs it, over coefficients reversed once
-    top, rest, drev = monic[-1], monic[-2::-1], deriv.coeffs[::-1]
+    # one Horner pass: P with a running bound on its own rounding error, and
+    # P' from 0j as Poly.__call__ runs it, each over n reversed coefficients
+    top, steps = monic[-1], tuple(zip(monic[-2::-1], deriv.coeffs[::-1],
+                                      strict=True))
     # a root on root is never moved, so it stays on root: later sweeps skip it
     live = list(range(n))
     stalled = 0
@@ -357,27 +362,29 @@ def _aberth(monic: tuple[complex, ...], deriv: Poly) -> list[complex]:
         moving = []
         for i in live:
             z = zs[i]
-            p, bound, az = top, abs(top), abs(z)
-            for c in rest:
+            p, bound, az, dp = top, abs(top), abs(z), 0j
+            for c, dc in steps:
                 p = p * z + c
                 bound = bound * az + abs(p)
+                dp = dp * z + dc
             if abs(p) <= 4.0 * (bound * _EPS):
                 continue
             moving.append(i)
-            dp = 0j
-            for c in drev:
-                dp = dp * z + c
             if dp == 0:
                 zs[i] += (1e-6 + 1e-6j) * (1.0 + az)
                 max_step = math.inf
                 continue
             w = p / dp
             s = 0j
-            for zj in zs[:i] + zs[i + 1:]:
-                d = z - zj
-                if d == 0:
-                    d = complex(1e-12 * (1.0 + az), 0.0)
-                s += 1.0 / d
+            try:
+                for zj in zs[:i]:
+                    s += 1.0 / (z - zj)
+                for zj in zs[i + 1:]:
+                    s += 1.0 / (z - zj)
+            except ZeroDivisionError:  # exactly when z - zj == 0: nudge it
+                s, nudge = 0j, complex(1e-12 * (1.0 + az), 0.0)
+                for zj in zs[:i] + zs[i + 1:]:
+                    s += 1.0 / ((z - zj) or nudge)
             denom = 1.0 - w * s
             step = w if denom == 0 else w / denom
             zs[i] = z = z - step
@@ -426,13 +433,18 @@ def _refined(derivs: list[Poly], centroid: complex, mult: int,
     # is the k-th derivative of the monic input, extended here on demand.
     while len(derivs) <= mult:
         derivs.append(derivs[-1].derivative())
-    q, dq = derivs[mult - 1], derivs[mult]
+    # q and q' in one Horner pass from 0j; q's constant term comes last
+    qrev, dqrev = derivs[mult - 1].coeffs[::-1], derivs[mult].coeffs[::-1]
     z = centroid
     for _ in range(24):
-        denom = dq(z)
+        v = denom = 0j
+        for c, dc in zip(qrev, dqrev):
+            v = v * z + c
+            denom = denom * z + dc
+        v = v * z + qrev[-1]
         if denom == 0:
             break
-        step = q(z) / denom
+        step = v / denom
         z -= step
         if abs(step) <= 4.0 * _EPS * (1.0 + abs(z)):
             break

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from expode import (EXP_MERGE_TOL, ExpPoly, FactoredOp, HomogeneousSolution,
                     NonConvergence, NotConjugateClosed, Poly, TrigForm,
                     VerifyReport, coeff_distance, monomial)
-from expode.cpoly import _EPS, _MAX_SWEEPS, _start_points
+from expode.cpoly import _EPS, _MAX_SWEEPS, _near, _start_points
 from expode.exppoly import COEFF_CLEAN_REL, _conjugate_poly, _kept, _real_poly
 from expode.parsing import (_MAX_POWER, Bin, Call, Expr, Neg, Num,
                             UnknownOnRhs, UnsupportedForm, VarX, YTerm,
@@ -398,6 +398,38 @@ def aberth_reference(monic, deriv: Poly) -> list:
             stalled = 0
     raise NonConvergence(
         f"root iteration missed its residual target within {_MAX_SWEEPS} sweeps")
+
+
+def refined_reference(derivs: list, centroid: complex, mult: int,
+                      cut: float) -> complex:
+    """cpoly._refined as it was written before it evaluated q and q' in one
+    pass: each through Poly.__call__, q only when q' is not 0."""
+    while len(derivs) <= mult:
+        derivs.append(derivs[-1].derivative())
+    q, dq = derivs[mult - 1], derivs[mult]
+    z = centroid
+    for _ in range(24):
+        denom = dq(z)
+        if denom == 0:
+            break
+        step = q(z) / denom
+        z -= step
+        if abs(step) <= 4.0 * _EPS * (1.0 + abs(z)):
+            break
+    if not _near(z, centroid, 10.0 * cut + 1e-12):
+        return centroid  # refinement wandered off; keep the plain centroid
+    return z
+
+
+def expand_reference(fact) -> Poly:
+    """Factorization.expand as it was written before it multiplied on
+    tuples: one Poly product with Poly((-r, 1.0)) per factor."""
+    acc = Poly((fact.leading,))
+    for r, m in fact.pairs:
+        lin = Poly((-r, 1.0))
+        for _ in range(m):
+            acc = acc * lin
+    return acc
 
 
 def verify_reference(op, f: ExpPoly, y: ExpPoly, points: int = 50,

@@ -612,12 +612,23 @@ def test_deep_nesting_exits_2(capsys, equation, pos):
     (["solve", "y''' - 1e155i*y'' = 0", "--roots", "0:2, 1e155i:1",
       "--ivp", "y(0)=1, y'(0)=0, y''(0)=0"], 3,
      "error: initial-condition system overflows at x = 0\n"),
+    # the real form 2e308*sin(x) has a coefficient past the double range
+    (["solve", "y' = 1e308*exp(i*x) + 1e308*exp(-i*x)", "--real"], 3,
+     "error: real form overflows: polynomial coefficients must be finite\n"),
 ])
 def test_overflow_ends_in_an_exit_code(capsys, argv, code, message):
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert out == ""
     assert err == message
+
+
+def test_real_form_keeps_a_large_answer(capsys):
+    # 1.6e308 is a double: only a real form past the double range overflows
+    equation = "y' = 0.8e308*exp(i*x) + 0.8e308*exp(-i*x)"
+    assert main(["solve", equation, "--real"]) == 0
+    out = capsys.readouterr().out
+    assert "particular solution: 1.6e+308*sin(x)\n" in out
 
 
 def test_real_form_keeps_a_small_answer(capsys):

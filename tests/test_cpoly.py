@@ -3,7 +3,7 @@
 import cmath
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from expode import (
@@ -15,9 +15,12 @@ from expode import (
     find_roots,
     monomial,
 )
-from expode.cpoly import _aberth, _start_points
+import strategies
+from expode import cpoly
+from expode.cpoly import _aberth, _refined, _start_points
 from strategies import (OP_GRID, aberth_reference, complex_coeffs,
-                        factored_ops, polys)
+                        expand_reference, factored_ops, polys,
+                        refined_reference)
 
 
 # ------------------------------------------------------------ arithmetic
@@ -257,6 +260,90 @@ def _flat_start_poly() -> Poly:
 ], ids=["y29-minus-y", "roots-1-to-13", "mult-6-and-1", "flat-start"])
 def test_aberth_matches_reference_bits_at_the_edges(p):
     assert _aberth_outcome(_aberth, p) == _aberth_outcome(aberth_reference, p)
+
+
+@pytest.mark.parametrize("starts", [
+    lambda n: [0.5 + 0.25j] * n,
+    lambda n: [0.3 + 0.1j, 0.3 + 0.1j] + [complex(0.0, k) for k in range(n - 2)],
+], ids=["all-coincide", "two-coincide"])
+def test_aberth_matches_reference_bits_from_coincident_starts(
+        monkeypatch, starts):
+    # z - zj == 0 on the first sweep: the sum restarts with the difference
+    # nudged off zero, as the reference nudges it in its one loop
+    p = Factorization(((1.0, 1), (2.0, 1), (-1.0, 1), (1j, 1), (-1j, 1))).expand()
+    for module in (cpoly, strategies):
+        monkeypatch.setattr(module, "_start_points",
+                            lambda monic: starts(len(monic) - 1))
+    assert _aberth_outcome(_aberth, p) == _aberth_outcome(aberth_reference, p)
+
+
+def _outcome(f, *args) -> str:
+    """The repr of f(*args), or of the exception it raises."""
+    try:
+        return repr(f(*args))
+    except (OverflowError, ValueError) as exc:
+        return repr(exc)
+
+
+# every double, overflowing ones included, and the zeros of either sign
+_wide = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e308, -1e308)))
+_wide_complex = st.builds(complex, _wide, _wide)
+
+
+@st.composite
+def _refine_inputs(draw):
+    """(monic, centroid, mult, cut): a centroid near a root of a product,
+    with that root's multiplicity, or any monic input and centroid,
+    overflowing ones included."""
+    cut = draw(st.sampled_from((1e-6, 1e-5, 1e-3, 1e-2)))
+    if draw(st.booleans()):
+        fac = draw(factored_ops(max_roots=4, max_order=8))
+        r, mult = draw(st.sampled_from(fac.factors))
+        return fac.char_poly().coeffs, r + cut * draw(complex_coeffs), mult, cut
+    lead = draw(_wide_complex | complex_coeffs)
+    coeffs = draw(st.lists(_wide_complex | complex_coeffs, min_size=2,
+                           max_size=9))
+    try:
+        monic = Poly._trusted(tuple(c / lead for c in coeffs + [lead])).coeffs
+    except (ValueError, ZeroDivisionError):
+        assume(False)
+    mult = draw(st.integers(1, len(monic) - 1))
+    return monic, draw(_wide_complex | complex_coeffs), mult, cut
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=_refine_inputs())
+@example(inputs=((1 + 0j, 1 + 0j, 1e308 + 0j, 1 + 0j), 0.5 + 0j, 1, 1e-6))
+def test_refined_matches_reference_bits(inputs):
+    # q and q' in one pass: the same Newton iterates, the same overflow (in
+    # the example, P' = q' has the coefficient 2e308)
+    monic, centroid, mult, cut = inputs
+    ours, theirs = [Poly._trusted(monic)], [Poly._trusted(monic)]
+    got = _outcome(_refined, ours, centroid, mult, cut)
+    assert got == _outcome(refined_reference, theirs, centroid, mult, cut)
+    assert ours == theirs
+
+
+_roots = st.one_of(st.sampled_from(OP_GRID), complex_coeffs, _wide_complex)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.tuples(_roots, st.integers(1, 4)), max_size=6,
+                      unique_by=lambda rm: rm[0]),
+       lead=st.sampled_from((1.0, -0.5j, 1e300, 1.7e308)) | _wide_complex)
+@example(pairs=[(1e200 + 0j, 2)], lead=1.0 + 0j)
+@example(pairs=[(2 + 0j, 1)], lead=1.7e308 + 0j)
+@example(pairs=[(complex(-0.0, 0.0), 1), (complex(1.0, -0.0), 2)],
+         lead=complex(-0.0, 1.0))
+def test_expand_matches_reference_bits(pairs, lead):
+    # the product on tuples forms every slot as Poly's _mul does, signed
+    # zeros included, and raises the same ValueError past the double range
+    try:
+        fact = Factorization(tuple(pairs), lead)
+    except ValueError:
+        return
+    assert _outcome(fact.expand) == _outcome(expand_reference, fact)
 
 
 def test_order_28_roots_of_unity_certify():
