@@ -17,7 +17,7 @@ operation's "exit code" lists, per call, "ok" or the exception's class.
 
 Run:  python3 scripts/report_digest.py [--src DIR] [--workloads corpus,...]
                                        [--seeds 0-14] [--front-end]
-      python3 scripts/report_digest.py --src OLD --src NEW [...]
+      python3 scripts/report_digest.py --src OLD --src NEW [--judge] [...]
 
 With one --src (default: this checkout's src/), each output line reads
 `workload seeds count sha256`; `count` is the number of reports.  With two,
@@ -25,6 +25,16 @@ each workload gets a line `workload seeds count changed exits_changed`: the
 number of reports whose bytes differ and the number whose exit code
 differs, followed by one line `  seed S op: OLD -> NEW` for each operation
 whose exit code changed.
+
+With --judge, every operation whose report bytes or exit code changed is
+run once more under each tree through perfbench's `harness.run_op` and
+judged by `checks.problems`, the benchmark's exact checks.  A solve is
+right when no problem remains once the verdict lines ("reported ...") are
+set aside; a verify op's answer is its verdict.  Each workload then gets a
+line `  judged N: right->right A, wrong->right B, right->wrong C,
+wrong->wrong D; verdict flips E to right, F to wrong` (the flips split by
+whether the new answer is right), then one line per right->wrong and per
+wrong-but-verified operation, each naming it.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ import hashlib
 import io
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -84,16 +95,25 @@ def _front_end(parsing, op) -> tuple[str, bytes]:
     return ",".join(codes), "\0".join(values).encode()
 
 
-def _reports(src: str, workload: str, seeds: list[int], front_end: bool):
-    """Yield (seed, op name, exit code, report bytes) for every report that
-    the expode package under src prints for the workload, in a fixed order."""
-    from workloads import generate
-
+@contextlib.contextmanager
+def _package(src: str):
+    """Make `import expode` load the package under src afresh."""
     for name in [m for m in sys.modules if m.partition(".")[0] == "expode"]:
         del sys.modules[name]
     path = str(Path(src).resolve())
     sys.path.insert(0, path)
     try:
+        yield
+    finally:
+        sys.path.remove(path)
+
+
+def _reports(src: str, workload: str, seeds: list[int], front_end: bool):
+    """Yield (seed, op name, exit code, report bytes) for every report that
+    the expode package under src prints for the workload, in a fixed order."""
+    from workloads import generate
+
+    with _package(src):
         from expode import parsing
         from expode.cli import main
 
@@ -104,24 +124,72 @@ def _reports(src: str, workload: str, seeds: list[int], front_end: bool):
                     continue
                 for cmd in _argv(op):
                     yield (seed, op.name, *_report(main, cmd))
-    finally:
-        sys.path.remove(path)
+
+
+def _answers(src: str, ops) -> list[tuple[bool, str]]:
+    """(right, verdict) of each operation under the expode package in src,
+    run as perfbench/run.py runs it and judged by the exact checks."""
+    import checks
+    import harness
+
+    with _package(src):
+        import expode
+        import expode.cli
+
+        api = SimpleNamespace(**{k: getattr(expode, k) for k in expode.__all__},
+                              RESIDUAL_TOL=expode.cli.RESIDUAL_TOL)
+        out = []
+        for _, op in ops:
+            res = harness.run_op(api, op, harness.direct)
+            wrong = [p for p in checks.problems(op, res)
+                     if op.kind == "verify" or not p.startswith("reported ")]
+            out.append((not wrong, res.status))
+        return out
+
+
+def _judge(old: str, new: str, workload: str, keys: set) -> None:
+    from workloads import generate
+
+    ops = [(seed, op) for seed in sorted({s for s, _ in keys})
+           for op in generate(workload, seed) if (seed, op.name) in keys]
+    counts = dict.fromkeys(("right->right", "wrong->right", "right->wrong",
+                            "wrong->wrong"), 0)
+    flips, named = {True: 0, False: 0}, []
+    for (seed, op), (was, was_verdict), (now, verdict) in zip(
+            ops, _answers(old, ops), _answers(new, ops), strict=True):
+        move = f"{'right' if was else 'wrong'}->{'right' if now else 'wrong'}"
+        counts[move] += 1
+        flips[now] += verdict != was_verdict
+        if move == "right->wrong":
+            named.append(f"  right->wrong: seed {seed} {op.name}")
+        if not now and verdict == "verified":
+            named.append(f"  wrong-but-verified: seed {seed} {op.name}")
+    print(f"  judged {len(ops)}: "
+          + ", ".join(f"{k} {v}" for k, v in counts.items())
+          + f"; verdict flips {flips[True]} to right, {flips[False]} to wrong")
+    for line in named:
+        print(line)
 
 
 def _compare(old: str, new: str, workload: str, seeds: list[int],
-             label: str, front_end: bool) -> None:
+             label: str, front_end: bool, judge: bool) -> None:
     before = [(code, hashlib.sha256(text).digest())
               for _, _, code, text in _reports(old, workload, seeds, front_end)]
-    changed, exits, moved = 0, 0, {}
+    changed, exits, moved, keys = 0, 0, {}, set()
     for (seed, name, code, text), (old_code, old_hash) in zip(
             _reports(new, workload, seeds, front_end), before, strict=True):
-        changed += hashlib.sha256(text).digest() != old_hash
+        # the bytes change whenever the exit code does
+        if hashlib.sha256(text).digest() != old_hash:
+            changed += 1
+            keys.add((seed, name))
         if code != old_code:
             exits += 1
             moved.setdefault((seed, name), (old_code, code))
     print(f"{workload} {label} {len(before)} {changed} {exits}")
     for (seed, name), (a, b) in moved.items():
         print(f"  seed {seed} {name}: {a} -> {b}")
+    if judge:
+        _judge(old, new, workload, keys)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,16 +203,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--front-end", action="store_true",
                         help="hash the front end's values instead of the "
                              "command's reports")
+    parser.add_argument("--judge", action="store_true",
+                        help="with two trees, judge every changed operation "
+                             "by the benchmark's exact checks")
     args = parser.parse_args(argv)
     srcs = args.src or [str(ROOT / "src")]
     if len(srcs) > 2:
         parser.error("--src takes one tree, or two to compare")
+    if args.judge and len(srcs) != 2:
+        parser.error("--judge compares two trees")
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     seeds = _seeds(args.seeds)
     for workload in args.workloads.split(","):
         if len(srcs) == 2:
-            _compare(*srcs, workload, seeds, args.seeds, args.front_end)
+            _compare(*srcs, workload, seeds, args.seeds, args.front_end,
+                     args.judge)
             continue
         total, count = hashlib.sha256(), 0
         for _, _, _, text in _reports(srcs[0], workload, seeds, args.front_end):

@@ -13,7 +13,6 @@ import math
 
 from expode import (
     NotConjugateClosed,
-    Factorization,
     format_constant,
     render,
     render_poly,
@@ -47,7 +46,7 @@ def show_case(text):
     print(f"equation        {text}")
     print(f"char poly       {render_poly(op.char_poly(), 'r')}")
     roots = ", ".join(f"{format_constant(r)} (m={m})"
-                      for r, m in Factorization(sol.factored.factors).pairs)
+                      for r, m in sol.factored.pairs)
     print(f"roots           {roots}")
     for name, b in zip(sol.homogeneous.constants, sol.basis):
         print(f"  basis {name}      {fmt(b)}")

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .cpoly import Factorization, NonConvergence
+from .cpoly import NonConvergence
 from .exppoly import NotConjugateClosed
 from .parsing import (
     EquationError,
@@ -76,7 +76,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     res = solve_equation(args.equation, real=args.real, ivp=args.ivp,
                          roots=args.roots, points=args.verify_points)
     op, hom, part, fitted = res.op, res.homogeneous, res.particular, res.fitted
-    pairs = Factorization(res.factored.factors).pairs
+    pairs = res.factored.pairs
 
     try:  # a real-form coefficient past the double range is a numeric failure
         basis_text = [render(b, realify=args.real) for b in res.basis]

@@ -57,6 +57,8 @@ def _canonical(raw) -> tuple[tuple[complex, Poly], ...]:
             p = Poly(tuple(p))
         if not p.is_zero:
             entries.append((lam, p))
+    if len(entries) < 2:  # nothing to sort or merge
+        return _kept(entries)
     entries.sort(key=lambda t: (t[0].real, t[0].imag))
     # Each entry joins the nearest slot within EXP_MERGE_TOL, the earliest
     # on a tie.  Slots are created in sorted order, so scanning them

@@ -66,9 +66,10 @@ class LinOp(Record):
 class FactoredOp(Record):
     """Product of (d/dx - root)^mult groups, applied left to right.
 
-    Unlike Factorization, the given factor order is preserved: the result of
-    applying the operator does not depend on it, but tests exercise exactly
-    that, so the order must survive construction.
+    ``factors`` keeps the given order, which tests permute (the result of
+    applying the operator does not depend on it); ``pairs`` holds the same
+    factors in Factorization's (re, im) order, which the basis and the
+    report read.
     """
 
     def __init__(self, factors: tuple[tuple[complex, int], ...]):
@@ -77,7 +78,7 @@ class FactoredOp(Record):
             raise ValueError("operator order must be >= 1")
         _separated(pairs, EXP_MERGE_TOL,
                    "factor roots must be distinct beyond the merge tolerance")
-        object.__setattr__(self, "factors", pairs)
+        self.__dict__.update(factors=pairs, pairs=Factorization(pairs).pairs)
 
     @property
     def order(self) -> int:
@@ -89,7 +90,7 @@ class FactoredOp(Record):
         return sum(m for r, m in self.factors if _near(lam, r, EXP_MERGE_TOL))
 
     def char_poly(self) -> Poly:
-        return Factorization(self.factors).expand()
+        return Factorization(self.pairs).expand()
 
     def to_linop(self) -> LinOp:
         return LinOp.from_char_poly(self.char_poly())
@@ -114,8 +115,7 @@ def compose_check(first: FactoredOp, second: FactoredOp, y: ExpPoly,
     Raises ValueError when the two operators are not permutations of the same
     factor multiset; otherwise compares the applications termwise.
     """
-    if (Factorization(first.factors).pairs
-            != Factorization(second.factors).pairs):
+    if first.pairs != second.pairs:
         raise ValueError("operators must hold the same factors")
     a = first.apply(y)
     b = second.apply(y)

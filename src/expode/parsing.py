@@ -28,7 +28,7 @@ import math
 import re
 
 from .cpoly import Poly, Record, _add, _checked, _mul, _neg
-from .exppoly import EXP_MERGE_TOL, ExpPoly, TrigForm, _kept
+from .exppoly import EXP_MERGE_TOL, ExpPoly, TrigForm
 from .exppoly import realify as _to_trig
 from .operators import LinOp
 
@@ -482,12 +482,9 @@ def _constant_of(terms, node: Expr, what: str = "value") -> complex:
 
 
 def _terms(parts: dict[complex, tuple]) -> tuple[tuple[complex, Poly], ...]:
-    """ExpPoly(parts).terms.  One part with a finite exponent has nothing
-    to sort or merge, so it is only cleaned, as the constructor would."""
-    polys = tuple((lam, Poly._trusted(cs)) for lam, cs in parts.items())
-    if len(polys) == 1 and cmath.isfinite(polys[0][0]):
-        return _kept(polys)
-    return ExpPoly(polys).terms
+    """ExpPoly(parts).terms."""
+    return ExpPoly(tuple((lam, Poly._trusted(cs))
+                         for lam, cs in parts.items())).terms
 
 
 def _accumulate(acc: dict[complex, tuple], lam: complex, cs: tuple) -> None:

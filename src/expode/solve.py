@@ -17,8 +17,8 @@ import functools
 import math
 
 from .exppoly import EXP_MERGE_TOL, ExpPoly, NotConjugateClosed
-from .cpoly import (Factorization, NonConvergence, Record,
-                    _conjugate_pairs, coefficients_match, monomial)
+from .cpoly import (NonConvergence, Record, _conjugate_pairs,
+                    coefficients_match, monomial)
 from .operators import FactoredOp, LinOp, factor_op
 from .parsing import compile_equation, parse_constant, parse_initial_conditions
 
@@ -63,7 +63,7 @@ class AnsatzForm(Record):
 
 def homogeneous_solution(factored: FactoredOp) -> HomogeneousSolution:
     basis: list[ExpPoly] = []
-    for r, m in Factorization(factored.factors).pairs:
+    for r, m in factored.pairs:
         for power in range(m):
             basis.append(ExpPoly.term(r, monomial(power)))
     constants = tuple(f"C{k + 1}" for k in range(len(basis)))
@@ -76,13 +76,12 @@ def real_homogeneous_solution(factored: FactoredOp) -> HomogeneousSolution:
     Raises NotConjugateClosed when the root multiset is not closed under
     conjugation (the operator then has no real form).
     """
-    ordered = Factorization(factored.factors).pairs
-    rs = [r for r, _ in ordered]
+    rs = [r for r, _ in factored.pairs]
     bounds = [None if abs(r.imag) <= EXP_MERGE_TOL else EXP_MERGE_TOL
               for r in rs]
     basis: list[ExpPoly] = []
-    for i, j in _conjugate_pairs(rs, [m for _, m in ordered], bounds):
-        r, m = ordered[i]
+    for i, j in _conjugate_pairs(rs, [m for _, m in factored.pairs], bounds):
+        r, m = factored.pairs[i]
         if bounds[i] is None:
             for power in range(m):
                 basis.append(ExpPoly.term(r, monomial(power)))

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from expode import (EXP_MERGE_TOL, ExpPoly, FactoredOp, HomogeneousSolution,
                     NonConvergence, NotConjugateClosed, Poly, TrigForm,
                     VerifyReport, coeff_distance, monomial)
-from expode.cpoly import _EPS, _MAX_SWEEPS, _near, _start_points
+from expode.cpoly import (_EPS, _MAX_SWEEPS, Factorization, _conjugate_pairs,
+                          _near, _start_points)
 from expode.exppoly import COEFF_CLEAN_REL, _conjugate_poly, _kept, _real_poly
 from expode.parsing import (_MAX_POWER, Bin, Call, Expr, Neg, Num,
                             UnknownOnRhs, UnsupportedForm, VarX, YTerm,
@@ -233,6 +234,45 @@ def real_homogeneous_reference(factored):
         used[partner] = True
         top = r if r.imag > 0 else ordered[partner][0]
         bot = ordered[partner][0] if r.imag > 0 else r
+        for power in range(m):
+            plus = ExpPoly.term(top, monomial(power))
+            minus = ExpPoly.term(bot, monomial(power))
+            basis.append((plus + minus).scale(0.5))
+            basis.append((plus - minus).scale(complex(0.0, -0.5)))
+    constants = tuple(f"C{k + 1}" for k in range(len(basis)))
+    return HomogeneousSolution(tuple(basis), constants)
+
+
+def homogeneous_reference(factored):
+    """solve.homogeneous_solution as it was written before FactoredOp kept
+    its sorted pairs: the roots in a throwaway Factorization's order."""
+    basis: list[ExpPoly] = []
+    for r, m in Factorization(factored.factors).pairs:
+        for power in range(m):
+            basis.append(ExpPoly.term(r, monomial(power)))
+    constants = tuple(f"C{k + 1}" for k in range(len(basis)))
+    return HomogeneousSolution(tuple(basis), constants)
+
+
+def real_homogeneous_walk_reference(factored):
+    """solve.real_homogeneous_solution as it was written before FactoredOp
+    kept its sorted pairs: one _conjugate_pairs walk over the roots in a
+    throwaway Factorization's order."""
+    ordered = Factorization(factored.factors).pairs
+    rs = [r for r, _ in ordered]
+    bounds = [None if abs(r.imag) <= EXP_MERGE_TOL else EXP_MERGE_TOL
+              for r in rs]
+    basis: list[ExpPoly] = []
+    for i, j in _conjugate_pairs(rs, [m for _, m in ordered], bounds):
+        r, m = ordered[i]
+        if bounds[i] is None:
+            for power in range(m):
+                basis.append(ExpPoly.term(r, monomial(power)))
+            continue
+        if j is None:
+            raise NotConjugateClosed(
+                f"root {r!r} has no conjugate partner of equal multiplicity")
+        top, bot = (r, rs[j]) if r.imag > 0 else (rs[j], r)
         for power in range(m):
             plus = ExpPoly.term(top, monomial(power))
             minus = ExpPoly.term(bot, monomial(power))

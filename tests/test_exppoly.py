@@ -4,7 +4,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expode import (
@@ -103,6 +103,15 @@ def _hex_terms(terms):
 
 @settings(max_examples=300)
 @given(raw=merge_chains())
+# fewer than two nonzero entries skip the sort and the merge: none, one whose
+# exponent's signed zeros must survive, one whose dust is cleaned, and one
+# whose polynomial is zero; a non-finite exponent is still refused
+@example(raw=[])
+@example(raw=[(-0j, [1.0])])
+@example(raw=[(0.5 - 0j, [1.0, 1e-13])])
+@example(raw=[(1 + 0j, [0.0])])
+@example(raw=[(complex(math.inf, 0.0), [1.0])]).xfail(
+    raises=ValueError, reason="exponents must be finite")
 def test_merge_scan_matches_quadratic_search(raw):
     assert _hex_terms(_canonical(raw)) == _hex_terms(canonical_reference(raw))
 

@@ -1,18 +1,23 @@
 """Differential operators: coefficient and factored forms."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expode import (
     ExpPoly,
     FactoredOp,
+    Factorization,
     LinOp,
     Poly,
     compose_check,
     factor_op,
+    homogeneous_solution,
+    real_homogeneous_solution,
 )
-from strategies import ep_close, exppolys, factored_ops
+from strategies import (ep_close, exppolys, factored_ops,
+                        homogeneous_reference,
+                        real_homogeneous_walk_reference)
 
 
 # ----------------------------------------------------------- coefficients
@@ -155,6 +160,33 @@ def test_factor_order_never_matters(fac, y, data):
     perm = data.draw(st.permutations(fac.factors))
     other = FactoredOp(tuple(perm))
     assert compose_check(fac, other, y)
+
+
+def _outcome(fn, fac):
+    try:
+        return repr(fn(fac))
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fs=factored_ops().flatmap(lambda f: st.permutations(f.factors)))
+# 1+1j has no conjugate among the roots, so there is no real basis
+@example(fs=[(1 + 1j, 1), (0j, 2), (-1 + 0j, 1)])
+@example(fs=[(1j, 2), (-2 + 0j, 1), (-1j, 2)])
+def test_pairs_are_the_factors_in_factorization_order(fs):
+    fac = FactoredOp(tuple(fs))
+    assert fac.factors == tuple(fs)
+    assert fac.pairs == Factorization(tuple(fs)).pairs
+    # pairs is no field: repr, == and hash read the given order alone
+    assert repr(fac) == f"FactoredOp(factors={tuple(fs)!r})"
+    sorted_op = FactoredOp(fac.pairs)
+    assert (fac == sorted_op) == (fac.factors == fac.pairs)
+    assert hash(fac) == hash((fac.factors,))
+    assert (_outcome(homogeneous_solution, fac)
+            == _outcome(homogeneous_reference, fac))
+    assert (_outcome(real_homogeneous_solution, fac)
+            == _outcome(real_homogeneous_walk_reference, fac))
 
 
 # ------------------------------------------------------ shifted operator

@@ -167,3 +167,41 @@ def test_report_digest_runs(tmp_path):
     assert all(re.fullmatch(r"  seed 0 corpus/\S+: ok(,ok)+ -> "
                             r"ok,UnsupportedForm(,\w+)*", line)
                for line in moved)
+
+
+def test_report_digest_judges_what_changed(tmp_path):
+    # a copy that accepts any residual up to 1 verifies wrong candidates:
+    # the exact checks read each as right -> wrong and wrong-but-verified
+    shutil.copytree(ROOT / "src" / "expode", tmp_path / "expode",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "expode" / "cli.py"
+    text = cli.read_text()
+    assert "RESIDUAL_TOL = 1e-8\n" in text
+    cli.write_text(text.replace("RESIDUAL_TOL = 1e-8\n", "RESIDUAL_TOL = 1.0\n"))
+    proc = _run("scripts/report_digest.py", "--workloads", "corpus",
+                "--seeds", "0", "--judge", "--src", "src",
+                "--src", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    moved = [line for line in lines if line.startswith("  seed 0 ")]
+    judged = re.fullmatch(
+        r"  judged (\d+): right->right (\d+), wrong->right (\d+), "
+        r"right->wrong (\d+), wrong->wrong (\d+); "
+        r"verdict flips (\d+) to right, (\d+) to wrong", lines[len(moved) + 1])
+    assert judged, lines
+    n, rr, wr, rw, ww, to_right, to_wrong = map(int, judged.groups())
+    assert n == len(moved) == rr + wr + rw + ww and rw > 0 and wr == ww == 0
+    assert to_wrong == rw
+    named = lines[len(moved) + 2:]
+    right_wrong = [line.split(": ")[1] for line in named
+                   if line.startswith("  right->wrong: ")]
+    verified = [line.split(": ")[1] for line in named
+                if line.startswith("  wrong-but-verified: ")]
+    assert len(named) == len(right_wrong) + len(verified)
+    assert len(right_wrong) == rw and right_wrong == verified
+    assert all(re.fullmatch(r"seed 0 corpus/verify-\d+", op)
+               for op in right_wrong)
+
+    proc = _run("scripts/report_digest.py", "--seeds", "0", "--judge")
+    assert proc.returncode == 2
+    assert "--judge compares two trees" in proc.stderr
