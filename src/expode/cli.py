@@ -13,9 +13,10 @@ Exit codes: 0 solved/verified, 1 verification failed, 2 bad input or usage,
 
 from __future__ import annotations
 
-import argparse
-import json
+import os
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from .cpoly import NonConvergence
 from .exppoly import NotConjugateClosed
@@ -54,25 +55,33 @@ def _c_times(name: str, body: str) -> str:
     return name if body == "1" else f"{name}*{body}"
 
 
-def _verdict(worst: VerifyReport, doc: dict | None) -> int:
-    """Decide "verified" from the largest residuals, print them and the
-    status as the last keys of doc (--json) or, without one, as the last
-    text lines, and return the exit code."""
+def _verdict(worst: VerifyReport, report: dict | list[str]) -> int:
+    """Decide "verified" from the largest residuals, add them and the status
+    as the last keys of the report's JSON document (--json) or as its last
+    text lines, write the report in one piece and return the exit code."""
     ok = worst.within(RESIDUAL_TOL)
     status = "verified" if ok else "unverified"
     sym, pw = worst.symbolic, worst.pointwise
-    if doc is not None:
-        doc.update(residual_symbolic=_fnum(sym), residual_pointwise=_fnum(pw),
-                   status=status)
-        print(json.dumps(doc, indent=2))
+    if isinstance(report, dict):
+        import json
+        report.update(residual_symbolic=_fnum(sym),
+                      residual_pointwise=_fnum(pw), status=status)
+        lines = [json.dumps(report, indent=2)]
     else:
-        print(f"residual (symbolic): {sym:.3e}")
-        print(f"residual (pointwise): {pw:.3e}")
-        print(f"status: {status}")
+        lines = report + [f"residual (symbolic): {sym:.3e}",
+                          f"residual (pointwise): {pw:.3e}",
+                          f"status: {status}"]
+    try:  # the answer is complete: a reader that stops early cannot change it
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:  # keep the interpreter's final flush silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if ok else 1
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: SimpleNamespace) -> int:
     res = solve_equation(args.equation, real=args.real, ivp=args.ivp,
                          roots=args.roots, points=args.verify_points)
     op, hom, part, fitted = res.op, res.homogeneous, res.particular, res.fitted
@@ -101,72 +110,123 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not part.is_zero:
         combo += " + " + (f"({part_text})" if _needs_parens(part_text)
                           else part_text)
-    print(f"equation: {args.equation}")
-    print(f"characteristic polynomial: {render_poly(op.char_poly(), 'r')}")
-    print("roots:")
-    for r, m in pairs:
-        print(f"  {format_constant(r)}  (multiplicity {m})")
-    print("homogeneous basis:")
-    for text in basis_text:
-        print(f"  {text}")
-    print(f"particular solution: {part_text}")
-    print(f"general solution: {combo}")
-    if fitted_text is not None:
-        print(f"fitted solution: {fitted_text}")
-    return _verdict(res.residuals, None)
+    return _verdict(res.residuals, [
+        f"equation: {args.equation}",
+        f"characteristic polynomial: {render_poly(op.char_poly(), 'r')}",
+        "roots:",
+        *(f"  {format_constant(r)}  (multiplicity {m})" for r, m in pairs),
+        "homogeneous basis:",
+        *(f"  {text}" for text in basis_text),
+        f"particular solution: {part_text}",
+        f"general solution: {combo}",
+        *([] if fitted_text is None else [f"fitted solution: {fitted_text}"])])
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     op, rhs = compile_equation(args.equation)
     candidate = parse_exppoly(args.candidate)
     report = verify_solution(op, rhs, candidate, points=args.verify_points)
     if args.json:
         return _verdict(report, {"equation": args.equation,
                                  "candidate": args.candidate})
-    print(f"equation: {args.equation}")
-    print(f"candidate: {render(candidate)}")
-    return _verdict(report, None)
+    return _verdict(report, [f"equation: {args.equation}",
+                             f"candidate: {render(candidate)}"])
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Reads an argument that starts with a single '-' and is not a known
-    option as a value, so a candidate such as -exp(-x) needs no '--'."""
+# Each subcommand's function, help and positionals (name, help), and each
+# option with the subcommands that take it (metavar None marks a switch);
+# _build_parser and _read_argv both read these.
+_COMMANDS = {
+    "solve": (cmd_solve, "solve an equation", (
+        ("equation", "equation text, e.g. \"y'' + y = exp(x)\""),)),
+    "verify": (cmd_verify, "check a candidate solution", (
+        ("equation", None),
+        ("candidate", "expression to test, e.g. \"x*exp(x)\""))),
+}
+_Option = namedtuple("_Option", "flag dest default metavar type help commands")
+_OPTIONS = (
+    _Option("--real", "real", False, None, None,
+            "present the solution over cos/sin instead of complex "
+            "exponentials", ("solve",)),
+    _Option("--ivp", "ivp", None, "CONDS", None,
+            "initial conditions, e.g. \"y(0)=1, y'(0)=0\"", ("solve",)),
+    _Option("--roots", "roots", None, "ROOTS", None,
+            "skip root finding; comma-separated root:multiplicity pairs, "
+            "e.g. \"1:2, -1:1\"", ("solve",)),
+    _Option("--json", "json", False, None, None, "machine-readable output",
+            ("solve", "verify")),
+    _Option("--verify-points", "verify_points", 50, "N", int,
+            "grid size for the pointwise residual check (2 to 10000)",
+            ("solve", "verify")),
+)
 
-    def _parse_optional(self, arg_string):
-        if (arg_string.startswith("-") and not arg_string.startswith("--")
-                and arg_string not in self._option_string_actions):
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes argparse sets for a plain command line: a subcommand,
+    its options each spelled in full as one argument (a valued one followed
+    by its value) and its positionals.  None for any other command line,
+    such as help, '--', '--flag=value', an abbreviation, an unknown flag, a
+    missing value or positional, or a bad integer; argparse reads those."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, positionals = _COMMANDS[argv[0]]
+    options = {o.flag: o for o in _OPTIONS if argv[0] in o.commands}
+    args = SimpleNamespace(command=argv[0], func=func,
+                           **{o.dest: o.default for o in options.values()})
+    values, rest = [], iter(argv[1:])
+    for arg in rest:
+        if not (arg.startswith("--") or arg == "-h"):
+            values.append(arg)  # even with a single '-', as _ArgumentParser
+            continue
+        if arg not in options:
             return None
-        return super()._parse_optional(arg_string)
+        option = options[arg]
+        if option.metavar is None:
+            setattr(args, option.dest, True)
+            continue
+        value = next(rest, "--")
+        if value.startswith("--") or value == "-h":
+            return None
+        try:
+            setattr(args, option.dest,
+                    value if option.type is None else option.type(value))
+        except ValueError:
+            return None
+    if len(values) != len(positionals):
+        return None
+    for (name, _), value in zip(positionals, values):
+        setattr(args, name, value)
+    return args
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        """Reads an argument that starts with a single '-' and is not a known
+        option as a value, so a candidate such as -exp(-x) needs no '--'."""
+
+        def _parse_optional(self, arg_string):
+            if (arg_string.startswith("-") and not arg_string.startswith("--")
+                    and arg_string not in self._option_string_actions):
+                return None
+            return super()._parse_optional(arg_string)
+
     parser = _ArgumentParser(
         prog="expode",
         description="Solve linear constant-coefficient ODEs in closed form.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("solve", help="solve an equation")
-    ps.add_argument("equation", help="equation text, e.g. \"y'' + y = exp(x)\"")
-    ps.add_argument("--real", action="store_true",
-                    help="present the solution over cos/sin instead of "
-                         "complex exponentials")
-    ps.add_argument("--ivp", metavar="CONDS",
-                    help="initial conditions, e.g. \"y(0)=1, y'(0)=0\"")
-    ps.add_argument("--roots", metavar="ROOTS",
-                    help="skip root finding; comma-separated root:multiplicity "
-                         "pairs, e.g. \"1:2, -1:1\"")
-    ps.set_defaults(func=cmd_solve)
-
-    pv = sub.add_parser("verify", help="check a candidate solution")
-    pv.add_argument("equation")
-    pv.add_argument("candidate", help="expression to test, e.g. \"x*exp(x)\"")
-    pv.set_defaults(func=cmd_verify)
-    for p in (ps, pv):  # after its own arguments, as --help lists them
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output")
-        p.add_argument("--verify-points", type=int, default=50, metavar="N",
-                       help="grid size for the pointwise residual check "
-                            "(2 to 10000)")
+    for command, (func, text, positionals) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, help_text in positionals:
+            p.add_argument(name, help=help_text)
+        p.set_defaults(func=func)
+        for o in _OPTIONS:
+            if command in o.commands:
+                p.add_argument(o.flag, dest=o.dest, default=o.default,
+                               help=o.help,
+                               **({"action": "store_true"} if o.metavar is None
+                                  else {"metavar": o.metavar, "type": o.type}))
     return parser
 
 
@@ -180,7 +240,8 @@ def _print_parse_error(exc: ParseError) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

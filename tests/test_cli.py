@@ -3,14 +3,19 @@
 import contextlib
 import io
 import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 
 from expode import NonConvergence, SingularSystem, solve_equation
-from expode.cli import main
+from expode.cli import _build_parser, _read_argv, main
 from strategies import cli_argvs
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 GOLDEN_REPEATED_ROOT = """\
 {
@@ -684,3 +689,53 @@ def test_grammar_fuzz_ends_in_an_exit_code(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3)
+
+
+def _read_as_argparse(argv, parser):
+    """The reader either declines argv or reads what argparse reads."""
+    args = _read_argv(argv)
+    if args is not None:
+        assert vars(args) == vars(parser.parse_args(argv)), argv
+    return args
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=cli_argvs())
+@example(argv=["solve", "y' = y", "--verify-points=5"])
+@example(argv=["solve", "y' = y", "--verify-p", "5"])
+@example(argv=["solve", "-h"])
+@example(argv=["solve", "y' = y", "--ivp", "-h"])
+@example(argv=["solve", "--", "y' = y"])
+@example(argv=["solve", "y' = y", "--ivp", "-1"])
+@example(argv=["solve", "y' = y", "--roots", "--json"])
+@example(argv=["verify", "y' = y", "exp(x)", "--real"])
+@example(argv=["verify", "y' + y = 0", "--json", "-exp(-x)"])
+@example(argv=["solve", "y' = y", "--ivp", "y(0)=1", "--ivp", "y(0)=2"])
+@example(argv=["solve", "y' = y", "--verify-points", " 7"])
+@example(argv=["solve", "y' = y", "--verify-points", "x"])
+@example(argv=["solve", ""])
+@example(argv=["solve", "y' = y", "y' = 2y"])
+@example(argv=[])
+def test_argv_reader_agrees_with_argparse(argv):
+    # a plain command line skips argparse; any other goes to it, so the
+    # reader may decline any argv, but never read one differently
+    try:
+        _read_as_argparse(argv, _build_parser())
+    except SystemExit:  # argparse refused or printed help: so did the reader
+        assert _read_argv(argv) is None
+
+
+def test_argv_reader_reads_plain_command_lines():
+    # the benchmark spawns op.argv() + ["--json"]; each must take the path
+    # that loads no argparse, and read as argparse reads it, as must values
+    # that start with a single '-', repeated options and empty arguments
+    parser = _build_parser()
+    argvs = [["solve", "y' = y", "--ivp", "-1", "--real", "--real"],
+             ["solve", "", "--roots", "", "--verify-points", " 7"],
+             ["solve", "y' = y", "--ivp", "y(0)=1", "--ivp", "y(0)=2"],
+             ["verify", "y' + y = 0", "--json", "-exp(-x)", "--json"]]
+    for workload in ("corpus", "high_order", "rich_forcing"):
+        for op in workloads.generate(workload, 1):
+            argvs += [op.argv(), op.argv() + ["--json"]]
+    for argv in argvs:
+        assert _read_as_argparse(argv, parser) is not None, argv

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -31,6 +33,44 @@ def test_import_loads_no_dataclasses():
                 "& (set(sys.modules) - before)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_plain_command_line_loads_no_argparse():
+    # a plain command line is read without argparse, which would pull in
+    # gettext and locale; help and usage errors still go through argparse
+    proc = _run("-c", "import contextlib, io, sys; before = set(sys.modules); "
+                "from expode.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = main(['solve', \"y'' + y = 0\", '--json'])\n"
+                "print(code, sorted({'argparse', 'gettext', 'locale'} "
+                "& (set(sys.modules) - before)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+    proc = _run("-m", "expode.cli", "solve", "-h")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: expode solve ")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "y'' + y = exp(x)"], 0),
+    (["verify", "y' = y", "exp(2x)"], 1),
+], ids=["verified", "unverified"])
+def test_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
+    # a reader that stops early (`expode solve ... | head -1`) neither turns
+    # the answer into a traceback nor changes its exit code
+    env = dict(os.environ, PYTHONPATH="src")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen([sys.executable, "-m", "expode.cli", *argv],
+                            cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == code
+    assert err == b""
 
 
 # the table crosses the resonance switch between delta = 1e-9 and 1e-10,
