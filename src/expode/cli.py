@@ -29,7 +29,8 @@ from .parsing import (
     render,
     render_poly,
 )
-from .solve import (RootsError, SingularSystem, VerifyReport, solve_equation,
+from .solve import (DEFAULT_VERIFY_POINTS, MAX_VERIFY_POINTS, RootsError,
+                    SingularSystem, VerifyReport, solve_equation,
                     verify_solution)
 
 RESIDUAL_TOL = 1e-8
@@ -155,9 +156,9 @@ _OPTIONS = (
             "e.g. \"1:2, -1:1\"", ("solve",)),
     _Option("--json", "json", False, None, None, "machine-readable output",
             ("solve", "verify")),
-    _Option("--verify-points", "verify_points", 50, "N", int,
-            "grid size for the pointwise residual check (2 to 10000)",
-            ("solve", "verify")),
+    _Option("--verify-points", "verify_points", DEFAULT_VERIFY_POINTS, "N",
+            int, f"grid size for the pointwise residual check (2 to "
+            f"{MAX_VERIFY_POINTS})", ("solve", "verify")),
 )
 
 

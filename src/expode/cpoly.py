@@ -16,13 +16,14 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 DEFAULT_CLUSTER_TOL = 1e-6
 COEFF_REL_TOL = 1e-8
 COEFF_ABS_TOL = 1e-10
 
-_MERGE_CAP = 1e-2  # coarsest cluster cut ever attempted
+# the cluster cuts, finest first: DEFAULT_CLUSTER_TOL, then four steps of * 10
+_CUTS = tuple(accumulate((DEFAULT_CLUSTER_TOL,) + (10.0,) * 4, float.__mul__))
 _MAX_SWEEPS = 500
 _EPS = sys.float_info.epsilon
 
@@ -482,50 +483,39 @@ def _symmetrized(pairs: list[tuple[complex, int]], cut: float,
     return out
 
 
-def find_roots(p: Poly, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Factorization:
+def find_roots(p: Poly) -> Factorization:
     """Factor ``p`` into (root, multiplicity) pairs with a certified expansion.
 
     Roots of the monic normalization are found by Ehrlich-Aberth sweeps and
-    grouped by single-linkage clustering.  Cuts are tried from coarse to fine,
-    starting from ``cluster_tol`` escalated by powers of ten (capped at 1e-2),
-    and the first grouping whose re-expanded product matches the input within
-    the certification tolerance wins.  Trying coarse cuts first makes the
-    multiplicity assignment a checked decision rather than a guess: a cluster
-    of simple roots smeared around a multiple root by rounding (radius grows
-    like eps**(1/m)) gets merged, while genuinely distinct roots survive
-    because merging them breaks the reconstruction.
+    grouped by single-linkage clustering.  The cuts are a fixed schedule,
+    1e-2 down to DEFAULT_CLUSTER_TOL by powers of ten, tried from coarse to
+    fine, and the first grouping whose re-expanded product matches the input
+    within the certification tolerance wins.  Trying coarse cuts first makes
+    the multiplicity assignment a checked decision rather than a guess: a
+    cluster of simple roots smeared around a multiple root by rounding
+    (radius grows like eps**(1/m)) gets merged, while genuinely distinct
+    roots survive because merging them breaks the reconstruction.
 
     Raises NonConvergence when the iteration stalls short of its residual
     target, its arithmetic leaves the double range, or no grouping
-    certifies; ValueError only for a constant input or a negative cut.
+    certifies; ValueError only for a constant input.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    if cluster_tol < 0:
-        raise ValueError("cluster_tol must be nonnegative")
     try:
-        return _find_roots(p, cluster_tol)
+        return _find_roots(p)
     except (OverflowError, ValueError) as exc:
         raise NonConvergence(f"root finding overflows: {exc}") from exc
 
 
-def _find_roots(p: Poly, cluster_tol: float) -> Factorization:
+def _find_roots(p: Poly) -> Factorization:
     lead = p.coeffs[-1]
     monic = tuple(c / lead for c in p.coeffs)
     derivs = [Poly._trusted(monic)]
     derivs.append(derivs[0].derivative())
     roots = _aberth(monic, derivs[1])
     real_input = all(c.imag == 0.0 for c in p.coeffs)
-
-    cuts = [cluster_tol]
-    t = cluster_tol if cluster_tol > 0 else 1e-12
-    while len(cuts) < 5:
-        t *= 10.0
-        if t > max(cluster_tol, _MERGE_CAP):
-            break
-        cuts.append(t)
-
-    for cut in reversed(cuts):
+    for cut in reversed(_CUTS):
         clusters = _single_linkage(roots, cut)
         pairs = []
         for group in clusters:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import cmath
 
-from .cpoly import (DEFAULT_CLUSTER_TOL, Factorization, Poly, Record,
-                    _near, _root_pairs, _separated, find_roots)
+from .cpoly import (Factorization, Poly, Record, _near, _root_pairs,
+                    _separated, find_roots)
 from .exppoly import EXP_MERGE_TOL, ExpPoly, coeff_distance
 
 
@@ -102,10 +102,9 @@ class FactoredOp(Record):
         return y
 
 
-def factor_op(op: LinOp, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> FactoredOp:
+def factor_op(op: LinOp) -> FactoredOp:
     """Factor an operator through the roots of its characteristic polynomial."""
-    fact = find_roots(op.char_poly(), cluster_tol)
-    return FactoredOp(fact.pairs)
+    return FactoredOp(find_roots(op.char_poly()).pairs)
 
 
 def compose_check(first: FactoredOp, second: FactoredOp, y: ExpPoly,

@@ -23,6 +23,7 @@ from .operators import FactoredOp, LinOp, factor_op
 from .parsing import compile_equation, parse_constant, parse_initial_conditions
 
 
+DEFAULT_VERIFY_POINTS = 50
 MAX_VERIFY_POINTS = 10_000  # the grid is held in lists
 
 
@@ -199,22 +200,21 @@ class VerifyReport(Record):
         return self.symbolic <= tol and self.pointwise <= tol
 
 
-@functools.lru_cache(maxsize=16, typed=True)
-def _grid(points: int, a: float, b: float) -> tuple[float, ...]:
-    """The verifier's uniform grid.  typed: 10**20 and 1e20 hash equal, but
-    an int span gives other grid points than a float one."""
-    return tuple(a + (b - a) * k / (points - 1) for k in range(points))
+@functools.lru_cache(maxsize=16)
+def _grid(points: int) -> tuple[float, ...]:
+    """The verifier's uniform grid on [-1, 1]."""
+    return tuple(-1.0 + 2.0 * k / (points - 1) for k in range(points))
 
 
 def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
-                    points: int = 50, span: tuple[float, float] = (-1.0, 1.0)
-                    ) -> VerifyReport:
+                    points: int = DEFAULT_VERIFY_POINTS) -> VerifyReport:
     """Apply the operator to y and compare against f, twice.
 
     The symbolic residual is the largest coefficient of L[y] - f; the
-    pointwise residual samples the same difference on a uniform grid.  Both
-    are divided by 1 + |f|, so for a small f (f = 0 for a basis element)
-    'verified' bounds an absolute error, whatever the size of y.
+    pointwise residual samples the same difference on a uniform grid of
+    points over [-1, 1].  Both are divided by 1 + |f|, so for a small f
+    (f = 0 for a basis element) 'verified' bounds an absolute error,
+    whatever the size of y.
     The grid is evaluated term by term (ExpPoly.values), which gives the
     same bits as evaluating it point by point; the row e^(lam*x) of an
     exponent is computed once for both sides.  With f = 0 the subtraction
@@ -232,8 +232,7 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
     except (ValueError, OverflowError) as exc:  # a value left the double range
         raise NonConvergence("residual L[y] - f overflows") from exc
     symbolic = residual.max_coeff() / (1.0 + f.max_coeff())
-    a, b = span
-    xs = _grid(points, a, b)
+    xs = _grid(points)
     worst = 0.0
     rows: dict = {}  # e^(lam*x) over the grid, shared by the two sides
     try:
@@ -318,7 +317,8 @@ def _factored_from_user(op: LinOp, text: str) -> FactoredOp:
 
 
 def solve_equation(equation: str, real: bool = False, ivp: str | None = None,
-                   roots: str | None = None, points: int = 50) -> SolveReport:
+                   roots: str | None = None,
+                   points: int = DEFAULT_VERIFY_POINTS) -> SolveReport:
     """Solve an equation given as text and verify the answer.  The stages
     run in this order, so the first failure raises: compile; check `roots`
     or factor; basis; particular; verify them; parse `ivp`, fit, verify."""

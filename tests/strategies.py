@@ -696,7 +696,8 @@ def cli_argvs(draw):
     """Command lines for expode.cli.main over the forcing grammar: solve
     with derivative orders up to and past the cap, y terms that are not
     linear, and some of --ivp, --roots, --real, --verify-points and --json;
-    or verify with a candidate from the same grammar."""
+    or verify with a candidate from the same grammar, after '--' only when
+    it would read as an option."""
     order = draw(st.integers(0, 8) | st.sampled_from((30, 100, 101)))
     lhs = f"y^({order})" + draw(st.sampled_from(
         ("", " + y", " - 2*y'", " + 1e308*y", " - 1.5e308*y", " + (1+2i)*y'",
@@ -704,8 +705,10 @@ def cli_argvs(draw):
     equation = f"{lhs} = {draw(forcing_texts(max_power=100))}"
     flags = ["--json"] if draw(st.booleans()) else []
     if draw(st.booleans()):
-        return ["verify", equation, *flags, "--",
-                draw(forcing_texts(max_power=100))]
+        candidate = draw(forcing_texts(max_power=100))
+        if candidate.startswith("--") or candidate == "-h":
+            flags.append("--")  # else argparse would read it as an option
+        return ["verify", equation, *flags, candidate]
     options = (
         ("--real", None),
         ("--ivp", ("y(0)=1", "y(0)=1, y'(0)=0", "y(1e308)=1", "y(0)=x")),

@@ -17,6 +17,7 @@ from expode import (
 )
 import strategies
 from expode import cpoly
+from expode.cli import main
 from expode.cpoly import _aberth, _refined, _start_points
 from strategies import (OP_GRID, aberth_reference, complex_coeffs,
                         expand_reference, factored_ops, polys,
@@ -362,11 +363,29 @@ def test_rejects_constant_poly():
         find_roots(Poly([0]))
 
 
-def test_nonconvergence_when_tolerance_too_coarse():
-    # cluster_tol=10 merges the well-separated roots of r^3 - r into one
+def test_nonconvergence_when_tolerance_too_coarse(monkeypatch):
+    # a cut of 10 merges the well-separated roots of r^3 - r into one
     # cluster, which cannot reproduce the coefficients
+    monkeypatch.setattr(cpoly, "_CUTS", (10.0,))
     with pytest.raises(NonConvergence):
-        find_roots(Poly([0, -1, 0, 1]), cluster_tol=10.0)
+        find_roots(Poly([0, -1, 0, 1]))
+
+
+def test_cluster_cuts_are_fixed():
+    # DEFAULT_CLUSTER_TOL and four steps of * 10.0, each product rounded
+    assert list(cpoly._CUTS) == [1e-06, 9.999999999999999e-06,
+                                 9.999999999999999e-05, 0.001, 0.01]
+
+
+def test_sweep_cap_ends_in_nonconvergence(monkeypatch):
+    # (r - 1)^2 (r + 2) takes more than one sweep; at the cap the library
+    # raises, and the command line exits 3
+    monkeypatch.setattr(cpoly, "_MAX_SWEEPS", 1)
+    with pytest.raises(NonConvergence) as exc:
+        find_roots(Poly([2, -3, 0, 1]))
+    assert str(exc.value) == (
+        "root iteration missed its residual target within 1 sweeps")
+    assert main(["solve", "y''' - 3y' + 2y = 0"]) == 3
 
 
 @st.composite

@@ -14,8 +14,8 @@ import pytest
 
 import expode
 import expode.cli
-from expode import (EquationError, Factorization, NonConvergence,
-                    NotConjugateClosed, SingularSystem, solve_equation)
+from expode import (EquationError, NonConvergence, NotConjugateClosed,
+                    SingularSystem, solve_equation)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import harness  # noqa: E402
@@ -50,8 +50,8 @@ def _from_pipeline(op):
     except (NonConvergence, SingularSystem) as exc:
         return 3, str(exc)
     code = 0 if rep.residuals.within(expode.cli.RESIDUAL_TOL) else 1
-    return (code, list(Factorization(rep.factored.factors).pairs), rep.basis,
-            rep.particular, rep.fitted)
+    return (code, list(rep.factored.pairs), rep.basis, rep.particular,
+            rep.fitted)
 
 
 def _from_harness(op):
