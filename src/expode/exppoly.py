@@ -25,7 +25,8 @@ import cmath
 import math
 from itertools import zip_longest
 
-from .cpoly import Poly, Record, _conjugate_pairs, _near
+from .cpoly import (Poly, Record, _add, _checked, _conjugate_pairs, _near,
+                    _scale)
 
 EXP_MERGE_TOL = 1e-9     # exponents closer than this are the same term
 COEFF_CLEAN_REL = 1e-12  # coefficients tiny relative to their own term get dropped
@@ -35,16 +36,21 @@ class NotConjugateClosed(Exception):
     """The function has no real form: conjugate terms are missing or unequal."""
 
 
-def _cleaned(p: Poly) -> Poly:
-    mags = list(map(abs, p.coeffs))
+def _cleaned(cs: tuple) -> tuple:
+    """The cleaning rule, on a checked and stripped coefficient tuple: every
+    coefficient at most COEFF_CLEAN_REL times the largest becomes 0j, and
+    the trailing zeros go; () when every coefficient is 0."""
+    mags = list(map(abs, cs))
     top = max(mags, default=0.0)
     if top == 0.0:
-        return Poly()
+        return ()
     floor = COEFF_CLEAN_REL * top
     if min(mags) > floor:
-        return p  # nothing to drop, not even a zero whose sign could change
-    return Poly._trusted(tuple(0j if m <= floor else c
-                               for c, m in zip(p.coeffs, mags)))
+        return cs  # nothing to drop, not even a zero whose sign could change
+    out = [0j if m <= floor else c for c, m in zip(cs, mags)]
+    while out[-1] == 0:  # stops at the largest coefficient, which stays
+        out.pop()
+    return tuple(out)
 
 
 def _canonical(raw) -> tuple[tuple[complex, Poly], ...]:
@@ -85,10 +91,51 @@ def _canonical(raw) -> tuple[tuple[complex, Poly], ...]:
 def _kept(terms) -> tuple[tuple[complex, Poly], ...]:
     out = []
     for lam, p in terms:
-        p = _cleaned(p)
-        if not p.is_zero:
-            out.append((lam, p))
+        cs = _cleaned(p.coeffs)
+        if cs:
+            out.append((lam, p if cs is p.coeffs else Poly._trusted(cs)))
     return tuple(out)
+
+
+def _kept_coeffs(pairs) -> list[tuple[complex, tuple]]:
+    """_kept on (exponent, checked and stripped coefficient tuple) pairs."""
+    return [(lam, cs) for lam, raw in pairs if (cs := _cleaned(raw))]
+
+
+def _derived(lam: complex, cs: tuple) -> tuple:
+    """The coefficients of (e^(lam*x) p)' / e^(lam*x) = lam*p + p' from p's,
+    formed as Poly's scale, derivative and + form them; the sum is not yet
+    checked."""
+    return _add(_checked(_scale(cs, lam)),
+                _checked(tuple(k * c for k, c in enumerate(cs))[1:]))
+
+
+def _sampled(terms, xs, rows: dict) -> list[complex]:
+    """Values at every x in xs of the sum of (exponent, coefficient tuple)
+    terms, added in term order to 0j: bit for bit the term-by-term sum, each
+    polynomial by Horner's rule from 0j (Poly.__call__), at every point.
+    Each exponent's row e^(lam*x) is taken from, or added to, rows, so
+    functions sampled with one dict share their rows.
+
+    A sum that starts from 0j never holds -0.0, so an addend that differs
+    only in the sign of a zero part changes no value.  Hence 0j and -0j
+    share a row, and Horner's rule starts from the top coefficient: at a
+    finite x the first step from 0j, 0j*x + top, is top up to such signs.
+    A point past the double range makes it nan; then (the sum of xs is not
+    finite) every point starts from 0j."""
+    finite = cmath.isfinite(sum(xs))
+    out = [0j] * len(xs)
+    for lam, cs in terms:
+        row = rows.get(lam)
+        if row is None:
+            row = rows[lam] = [cmath.exp(lam * x) for x in xs]
+        start, rest = (cs[-1], cs[-2::-1]) if finite else (0j, cs[::-1])
+        for k, x in enumerate(xs):
+            acc = start
+            for c in rest:
+                acc = acc * x + c
+            out[k] += row[k] * acc
+    return out
 
 
 class ExpPoly(Record):
@@ -171,10 +218,8 @@ class ExpPoly(Record):
         return ExpPoly(tuple((lam + c, p) for lam, p in self.terms))
 
     def derivative(self) -> ExpPoly:
-        out = []
-        for lam, p in self.terms:
-            out.append((lam, p.scale(lam) + p.derivative()))
-        return ExpPoly._trusted(out)
+        return ExpPoly._trusted([(lam, Poly._trusted(_derived(lam, p.coeffs)))
+                                 for lam, p in self.terms])
 
     def _inverse(self, factors) -> ExpPoly:
         """Solve prod (D - r)^mult y = self with no kernel part in y: each term
@@ -221,32 +266,12 @@ class ExpPoly(Record):
         return f
 
     def values(self, xs) -> list[complex]:
-        """Values at every x in xs, one term at a time.
-
-        Each term's polynomial runs Horner's rule from 0j, as Poly.__call__
-        does, and is added in term order with an explicit +=, so each value
-        is bit for bit the term-by-term sum at that point.
-        """
+        """Values at every x in xs, one term at a time (_sampled)."""
         return self._sample(xs, {})
 
     def _sample(self, xs, rows: dict) -> list[complex]:
-        """values(xs), with each exponent's row e^(lam*x) taken from, or
-        added to, rows: functions sampled with one dict share their rows.
-        0j and -0j share a row although their rows differ in the sign of a
-        zero part; a sum that starts from 0j never holds -0.0, so no value
-        changes."""
-        out = [0j] * len(xs)
-        for lam, p in self.terms:
-            row = rows.get(lam)
-            if row is None:
-                row = rows[lam] = [cmath.exp(lam * x) for x in xs]
-            cs = p.coeffs[::-1]
-            for k, x in enumerate(xs):
-                acc = 0j
-                for c in cs:
-                    acc = acc * x + c
-                out[k] += row[k] * acc
-        return out
+        """values(xs), with the rows e^(lam*x) shared through rows."""
+        return _sampled([(lam, p.coeffs) for lam, p in self.terms], xs, rows)
 
     def __call__(self, x: complex) -> complex:
         return self.values((x,))[0]

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import cmath
 
-from .cpoly import (Factorization, Poly, Record, _near, _root_pairs,
+from .cpoly import (Factorization, Poly, Record, _checked, _near, _root_pairs,
                     _separated, find_roots)
-from .exppoly import EXP_MERGE_TOL, ExpPoly, coeff_distance
+from .exppoly import EXP_MERGE_TOL, ExpPoly, _kept_coeffs, coeff_distance
 
 
 class LinOp(Record):
@@ -44,23 +44,35 @@ class LinOp(Record):
         normalized = tuple(c / lead for c in p.coeffs[:-1])
         return cls(tuple(reversed(normalized)))
 
+    def _applied(self, y: ExpPoly) -> list[tuple[complex, tuple]]:
+        """L[y] as cleaned (exponent, coefficient tuple) pairs: every term
+        through _taylor_applied and checked, then every term cleaned."""
+        char = self._char.coeffs
+        return _kept_coeffs([(lam, _checked(_taylor_applied(char, lam, p.coeffs)))
+                             for lam, p in y.terms])
+
     def apply(self, y: ExpPoly) -> ExpPoly:
-        """L[e^(lam*x) p] = e^(lam*x) sum_k P^(k)(lam)/k! p^(k), term by term:
-        synthetic divisions of P by (z - lam) leave the Taylor coefficients
-        as remainders, and the sum over k is Horner's rule in d/dx."""
-        char, out = self.char_poly().coeffs, []
-        for lam, p in y.terms:
-            b, taylor = list(char), []
-            for _ in range(min(len(p.coeffs), len(b))):
-                for k in range(len(b) - 2, -1, -1):
-                    b[k] += lam * b[k + 1]
-                taylor.append(b.pop(0))
-            acc = [0j] * len(p.coeffs)
-            for t in reversed(taylor):
-                acc = [t * c + (i + 1) * a for i, (c, a)
-                       in enumerate(zip(p.coeffs, acc[1:] + [0j]))]
-            out.append((lam, Poly._trusted(tuple(acc))))
-        return ExpPoly._trusted(out)
+        """L[e^(lam*x) p] = e^(lam*x) P(lam + D) p, term by term (_applied's
+        parts are clean already, and cleaning them again keeps them)."""
+        return ExpPoly._trusted([(lam, Poly._trusted(cs))
+                                 for lam, cs in self._applied(y)])
+
+
+def _taylor_applied(char: tuple, lam: complex, cs: tuple) -> tuple:
+    """The coefficients of P(lam + D) p = sum_k P^(k)(lam)/k! p^(k), from
+    P's (char) and p's (cs): synthetic divisions of P by (z - lam) leave the
+    Taylor coefficients as remainders, and the sum over k is Horner's rule
+    in d/dx.  The result is not yet checked."""
+    b, taylor = list(char), []
+    for _ in range(min(len(cs), len(b))):
+        for k in range(len(b) - 2, -1, -1):
+            b[k] += lam * b[k + 1]
+        taylor.append(b.pop(0))
+    acc = [0j] * len(cs)
+    for t in reversed(taylor):
+        acc = [t * c + (i + 1) * a for i, (c, a)
+               in enumerate(zip(cs, acc[1:] + [0j]))]
+    return tuple(acc)
 
 
 class FactoredOp(Record):

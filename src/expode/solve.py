@@ -16,9 +16,10 @@ import cmath
 import functools
 import math
 
-from .exppoly import EXP_MERGE_TOL, ExpPoly, NotConjugateClosed
-from .cpoly import (NonConvergence, Record, _conjugate_pairs,
-                    coefficients_match, monomial)
+from .exppoly import (EXP_MERGE_TOL, ExpPoly, NotConjugateClosed, _derived,
+                      _kept_coeffs, _sampled)
+from .cpoly import (NonConvergence, Record, _add, _checked, _conjugate_pairs,
+                    _neg, coefficients_match, monomial)
 from .operators import FactoredOp, LinOp, factor_op
 from .parsing import compile_equation, parse_constant, parse_initial_conditions
 
@@ -122,11 +123,17 @@ def ansatz_form(factored: FactoredOp, b: complex, j: int) -> AnsatzForm:
 
 
 def _derivative_table(fs, x0: complex, count: int) -> list[list[complex]]:
-    """table[d][j] = fs[j]^(d)(x0) for d < count, count >= 1."""
-    table = [[f(x0) for f in fs]]
+    """table[d][j] = fs[j]^(d)(x0) for d < count, count >= 1.  Each level's
+    terms come from the last through ExpPoly.derivative's kernel, on
+    coefficient tuples, and are evaluated at x0 by ExpPoly.__call__'s, which
+    share one row e^(lam*x0) per exponent."""
+    levels = [[(lam, p.coeffs) for lam, p in f.terms] for f in fs]
+    rows: dict = {}
+    table = [[_sampled(terms, (x0,), rows)[0] for terms in levels]]
     for _ in range(count - 1):
-        fs = [f.derivative() for f in fs]
-        table.append([f(x0) for f in fs])
+        levels = [_kept_coeffs([(lam, _checked(_derived(lam, cs)))
+                                for lam, cs in terms]) for terms in levels]
+        table.append([_sampled(terms, (x0,), rows)[0] for terms in levels])
     return table
 
 
@@ -215,40 +222,51 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
     points over [-1, 1].  Both are divided by 1 + |f|, so for a small f
     (f = 0 for a basis element) 'verified' bounds an absolute error,
     whatever the size of y.
-    The grid is evaluated term by term (ExpPoly.values), which gives the
-    same bits as evaluating it point by point; the row e^(lam*x) of an
-    exponent is computed once for both sides.  With f = 0 the subtraction
-    returns L[y] itself and f's grid is skipped: the scale is exactly 1.0,
-    and dividing by it changes no bit.  Raises NonConvergence when
-    L[y] - f or a sampled value overflows, naming the first grid point that
-    does.
+    L[y] - f is formed on coefficient tuples by the arithmetic of
+    LinOp.apply and ExpPoly.__sub__, and the grid is evaluated term by term
+    by the kernel of ExpPoly.values, which gives the same bits as
+    evaluating it point by point; the row e^(lam*x) of an exponent is
+    computed once for both sides.  With f = 0 the subtraction returns L[y]
+    itself and f's grid is skipped: the scale is exactly 1.0, and dividing
+    by it changes no bit.  Raises NonConvergence when L[y] - f or a sampled
+    value overflows, naming the first grid point that does.
     """
     if points < 2:
         raise ValueError("need at least 2 sample points")
     if points > MAX_VERIFY_POINTS:
         raise ValueError(f"need at most {MAX_VERIFY_POINTS} sample points")
+    fs = [(lam, p.coeffs) for lam, p in f.terms]
     try:
-        residual = op.apply(y) - f
+        ly = (op._applied(y) if isinstance(op, LinOp)
+              else [(lam, p.coeffs) for lam, p in op.apply(y).terms])
+        # ExpPoly.__sub__'s rule, ly + (-f), on coefficient tuples
+        neg = _kept_coeffs([(lam, _checked(_neg(cs))) for lam, cs in fs])
+        if not neg or not ly:
+            residual = ly or neg
+        elif [lam for lam, _ in ly] == [lam for lam, _ in neg]:
+            residual = _kept_coeffs([(lam, _checked(_add(a, b)))
+                                     for (lam, a), (_, b) in zip(ly, neg)])
+        else:
+            residual = [(lam, p.coeffs) for lam, p in ExpPoly(ly + neg).terms]
     except (ValueError, OverflowError) as exc:  # a value left the double range
         raise NonConvergence("residual L[y] - f overflows") from exc
-    symbolic = residual.max_coeff() / (1.0 + f.max_coeff())
+    symbolic = (max((abs(c) for _, cs in residual for c in cs), default=0.0)
+                / (1.0 + f.max_coeff()))
     xs = _grid(points)
-    worst = 0.0
     rows: dict = {}  # e^(lam*x) over the grid, shared by the two sides
     try:
-        errs = map(abs, residual._sample(xs, rows))
-        if f.terms:  # else 1 + |f(x)| is 1.0, and dividing by it is exact
+        errs = map(abs, _sampled(residual, xs, rows))
+        if fs:  # else 1 + |f(x)| is 1.0, and dividing by it is exact
             errs = [e / (1.0 + abs(v))
-                    for e, v in zip(errs, f._sample(xs, rows))]
-        for err in errs:
-            if err > worst:
-                worst = err
+                    for e, v in zip(errs, _sampled(fs, xs, rows))]
+        worst = max(0.0, *errs)  # 0.0 first: a NaN error is passed over
     except OverflowError:
         # the grid ran term by term; walk it point by point to name the
         # first x that overflows
         for x in xs:
             try:
-                abs(residual(x)) / (1.0 + abs(f(x)))
+                r, v = (_sampled(g, (x,), {})[0] for g in (residual, fs))
+                abs(r) / (1.0 + abs(v))
             except OverflowError as exc:
                 raise NonConvergence(
                     f"pointwise residual overflows at x = {x:g}") from exc

@@ -11,7 +11,7 @@ import random
 from hypothesis import strategies as st
 
 from expode import (EXP_MERGE_TOL, ExpPoly, FactoredOp, HomogeneousSolution,
-                    NonConvergence, NotConjugateClosed, Poly, TrigForm,
+                    LinOp, NonConvergence, NotConjugateClosed, Poly, TrigForm,
                     VerifyReport, coeff_distance, monomial)
 from expode.cpoly import (_EPS, _MAX_SWEEPS, Factorization, _conjugate_pairs,
                           _near, _start_points)
@@ -490,6 +490,128 @@ def verify_reference(op, f: ExpPoly, y: ExpPoly, points: int = 50,
     return VerifyReport(symbolic, worst)
 
 
+def _cleaned_reference(p: Poly) -> Poly:
+    """exppoly._cleaned as it was written before it ran on coefficient
+    tuples."""
+    mags = list(map(abs, p.coeffs))
+    top = max(mags, default=0.0)
+    if top == 0.0:
+        return Poly()
+    floor = COEFF_CLEAN_REL * top
+    if min(mags) > floor:
+        return p  # nothing to drop, not even a zero whose sign could change
+    return Poly._trusted(tuple(0j if m <= floor else c
+                               for c, m in zip(p.coeffs, mags)))
+
+
+def trusted_reference(terms) -> ExpPoly:
+    """ExpPoly._trusted with exppoly._kept as it was written before the
+    cleaning rule ran on coefficient tuples."""
+    out = []
+    for lam, p in terms:
+        p = _cleaned_reference(p)
+        if not p.is_zero:
+            out.append((lam, p))
+    f = object.__new__(ExpPoly)
+    object.__setattr__(f, "terms", tuple(out))
+    return f
+
+
+def apply_reference(op, y: ExpPoly) -> ExpPoly:
+    """LinOp.apply as it was written before its Taylor shift became
+    operators._taylor_applied, on coefficient tuples."""
+    char, out = op.char_poly().coeffs, []
+    for lam, p in y.terms:
+        b, taylor = list(char), []
+        for _ in range(min(len(p.coeffs), len(b))):
+            for k in range(len(b) - 2, -1, -1):
+                b[k] += lam * b[k + 1]
+            taylor.append(b.pop(0))
+        acc = [0j] * len(p.coeffs)
+        for t in reversed(taylor):
+            acc = [t * c + (i + 1) * a for i, (c, a)
+                   in enumerate(zip(p.coeffs, acc[1:] + [0j]))]
+        out.append((lam, Poly._trusted(tuple(acc))))
+    return trusted_reference(out)
+
+
+def derivative_reference(f: ExpPoly) -> ExpPoly:
+    """ExpPoly.derivative as it was written before its step became
+    exppoly._derived, on coefficient tuples."""
+    out = []
+    for lam, p in f.terms:
+        out.append((lam, p.scale(lam) + p.derivative()))
+    return trusted_reference(out)
+
+
+def sample_reference(f: ExpPoly, xs, rows: dict) -> list:
+    """ExpPoly._sample as it was written before its Horner sum became
+    exppoly._sampled, on coefficient tuples."""
+    out = [0j] * len(xs)
+    for lam, p in f.terms:
+        row = rows.get(lam)
+        if row is None:
+            row = rows[lam] = [cmath.exp(lam * x) for x in xs]
+        cs = p.coeffs[::-1]
+        for k, x in enumerate(xs):
+            acc = 0j
+            for c in cs:
+                acc = acc * x + c
+            out[k] += row[k] * acc
+    return out
+
+
+def derivative_table_reference(fs, x0: complex, count: int) -> list:
+    """solve._derivative_table as it was written before it ran on
+    coefficient tuples, with f.derivative() and f(x0) spelled through the
+    two reference copies above."""
+    table = [[sample_reference(f, (x0,), {})[0] for f in fs]]
+    for _ in range(count - 1):
+        fs = [derivative_reference(f) for f in fs]
+        table.append([sample_reference(f, (x0,), {})[0] for f in fs])
+    return table
+
+
+def outcome(fn, *args):
+    """repr(fn(*args)), or the class name and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc).__name__, str(exc)
+
+
+# parts where the kernels leave the double range: a product past it (a
+# ValueError once checked), a finite coefficient whose modulus is past it
+# (abs raises OverflowError) and exponentials that overflow far from 0
+_edge_parts = st.one_of(st.sampled_from((0.0, -0.0, 1e-300, 1e154, -1e154,
+                                         1e308, -1e308, 1.5e308)), _floats)
+edge_coeffs = st.builds(complex, _edge_parts, _edge_parts)
+edge_linops = st.lists(edge_coeffs, min_size=1, max_size=4).map(
+    lambda cs: LinOp(tuple(cs)))
+edge_exponents = kernel_exponents | st.sampled_from(
+    (0j, -0j, 700 + 0j, -745 + 0j, 1e154j, 1e300 + 0j, -1e300j))
+# points where the rows overflow, signed zeros, complex points, and points
+# past the double range, or whose sum is, where Horner's rule runs from 0j
+edge_points = st.sampled_from((0.0, -0.0, 0j, -0j, complex(-0.0, 0.0), 0.5,
+                               -1.0, 800.0, -800.0, 800 + 0j, 800j, 1e154,
+                               1.7e308, math.inf, -math.inf, math.nan,
+                               complex(0.5, math.inf)))
+
+
+def _built(terms):
+    try:
+        return ExpPoly(tuple(terms))
+    except (ValueError, OverflowError):  # merged parts left the double range
+        return None
+
+
+edge_exppolys = st.lists(
+    st.tuples(edge_exponents,
+              st.lists(edge_coeffs, min_size=1, max_size=4).map(
+                  lambda cs: Poly(tuple(cs)))),
+    max_size=3).map(_built).filter(lambda f: f is not None)
+
+
 # ---------------------------------------------------- forcing lowering
 
 def _terms_reference(parts: dict[complex, Poly]
@@ -696,8 +818,9 @@ def cli_argvs(draw):
     """Command lines for expode.cli.main over the forcing grammar: solve
     with derivative orders up to and past the cap, y terms that are not
     linear, and some of --ivp, --roots, --real, --verify-points and --json;
-    or verify with a candidate from the same grammar, after '--' only when
-    it would read as an option."""
+    or verify with a candidate from the same grammar, now and then one
+    that reads as an option ('-h', '--', '--x'), after '--' only when it
+    would read as one."""
     order = draw(st.integers(0, 8) | st.sampled_from((30, 100, 101)))
     lhs = f"y^({order})" + draw(st.sampled_from(
         ("", " + y", " - 2*y'", " + 1e308*y", " - 1.5e308*y", " + (1+2i)*y'",
@@ -705,7 +828,9 @@ def cli_argvs(draw):
     equation = f"{lhs} = {draw(forcing_texts(max_power=100))}"
     flags = ["--json"] if draw(st.booleans()) else []
     if draw(st.booleans()):
-        candidate = draw(forcing_texts(max_power=100))
+        candidate = draw(st.sampled_from(("-h", "--", "--x"))
+                         if draw(st.integers(0, 4)) == 0
+                         else forcing_texts(max_power=100))
         if candidate.startswith("--") or candidate == "-h":
             flags.append("--")  # else argparse would read it as an option
         return ["verify", equation, *flags, candidate]

@@ -21,12 +21,17 @@ from strategies import (
     antiderivative_reference,
     canonical_reference,
     complex_coeffs,
+    derivative_reference,
+    edge_exppolys,
+    edge_points,
     ep_close,
     exppoly_pairs,
     exppolys,
     kernel_exppolys,
     nonzero_polys,
+    outcome,
     pointwise_value,
+    sample_reference,
 )
 
 
@@ -182,6 +187,33 @@ def test_values_match_pointwise_evaluation_bit_for_bit(f, xs):
     want = [_bits(pointwise_value(f, x)) for x in xs]
     assert [_bits(v) for v in f.values(xs)] == want
     assert [_bits(f(x)) for x in xs] == want
+
+
+@settings(max_examples=300)
+@given(fs=st.lists(edge_exppolys, min_size=1, max_size=3),
+       xs=st.lists(edge_points | st.floats(-1, 1), min_size=1, max_size=4))
+def test_sample_matches_reference_bits(fs, xs):
+    # the Horner kernel on coefficient tuples, one dict of rows shared by
+    # every function as the verifier shares it: the same bits, signed zeros
+    # included, or the same exception class and message
+    rows, old_rows = {}, {}
+    for f in fs:
+        assert (outcome(f._sample, xs, rows)
+                == outcome(sample_reference, f, xs, old_rows))
+
+
+@settings(max_examples=300)
+@given(f=edge_exppolys)
+@example(f=ExpPoly.term(1e300, Poly((1.0, 1e10))))
+@example(f=ExpPoly(((-1.5e308, Poly((1 + 1j,))), (1e300, Poly((1e10,))))))
+@example(f=ExpPoly.term(0j, Poly((1.0, complex(-0.0, 2.0)))))
+def test_derivative_matches_reference_bits(f):
+    # the step lam*p + p' on coefficient tuples.  Examples: lam*p leaves the
+    # double range (ValueError); every term is checked before any is
+    # cleaned, so the second term's ValueError wins over the first's
+    # OverflowError of abs; at lam = 0 the empty lam*p adds no 0.0 to p'
+    # (which would turn -0.0 into 0.0)
+    assert outcome(f.derivative) == outcome(derivative_reference, f)
 
 
 def test_values_of_zero_are_zero():

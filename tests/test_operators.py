@@ -15,8 +15,9 @@ from expode import (
     homogeneous_solution,
     real_homogeneous_solution,
 )
-from strategies import (ep_close, exppolys, factored_ops,
-                        homogeneous_reference,
+from strategies import (apply_reference, edge_exppolys, edge_linops,
+                        ep_close, exppolys, factored_ops,
+                        homogeneous_reference, outcome,
                         real_homogeneous_walk_reference)
 
 
@@ -129,6 +130,21 @@ def test_path_agreement(fac, y):
     assert ep_close(via_factors, via_coeffs, 1e-9)
 
 
+@settings(max_examples=300, deadline=None)
+@given(op=edge_linops, y=edge_exppolys)
+@example(op=LinOp((1e308, 1e308)), y=ExpPoly.term(2.0, Poly((1.0,))))
+@example(op=LinOp((1.5e308j,)), y=ExpPoly.term(1.5e308, Poly((1.0,))))
+@example(op=LinOp((1.5e308j,)),
+         y=ExpPoly(((-1.5e308, Poly((1.0,))), (1e300, Poly((1e10,))))))
+def test_apply_matches_reference_bits(op, y):
+    # the Taylor kernel on coefficient tuples: the same bits, signed zeros
+    # included, or the same exception class and message.  The examples
+    # overflow a product (ValueError), a modulus (OverflowError of abs) and
+    # both, where every term is checked before any is cleaned, so the
+    # second term's ValueError wins
+    assert outcome(op.apply, y) == outcome(apply_reference, op, y)
+
+
 @settings(max_examples=60, deadline=None)
 @given(fac=factored_ops(),
        z=st.sampled_from((0.5 + 0.5j, 3 + 0j, -3 + 1j, 0.25j)))
@@ -162,13 +178,6 @@ def test_factor_order_never_matters(fac, y, data):
     assert compose_check(fac, other, y)
 
 
-def _outcome(fn, fac):
-    try:
-        return repr(fn(fac))
-    except Exception as exc:  # the exception is the outcome compared
-        return type(exc).__name__, str(exc)
-
-
 @settings(max_examples=100, deadline=None)
 @given(fs=factored_ops().flatmap(lambda f: st.permutations(f.factors)))
 # 1+1j has no conjugate among the roots, so there is no real basis
@@ -183,10 +192,10 @@ def test_pairs_are_the_factors_in_factorization_order(fs):
     sorted_op = FactoredOp(fac.pairs)
     assert (fac == sorted_op) == (fac.factors == fac.pairs)
     assert hash(fac) == hash((fac.factors,))
-    assert (_outcome(homogeneous_solution, fac)
-            == _outcome(homogeneous_reference, fac))
-    assert (_outcome(real_homogeneous_solution, fac)
-            == _outcome(real_homogeneous_walk_reference, fac))
+    assert (outcome(homogeneous_solution, fac)
+            == outcome(homogeneous_reference, fac))
+    assert (outcome(real_homogeneous_solution, fac)
+            == outcome(real_homogeneous_walk_reference, fac))
 
 
 # ------------------------------------------------------ shifted operator

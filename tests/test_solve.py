@@ -5,7 +5,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from expode import (
@@ -31,9 +31,10 @@ from expode import (
     verify_solution,
     wronskian_determinant,
 )
-from strategies import (OP_GRID, complex_coeffs, ep_close, exppolys,
+from strategies import (OP_GRID, complex_coeffs, derivative_table_reference,
+                        edge_exppolys, edge_points, ep_close, exppolys,
                         factored_ops, kernel_exppolys, kernel_factored_ops,
-                        particular_reference, pointwise_value,
+                        outcome, particular_reference, pointwise_value,
                         verify_reference)
 
 
@@ -386,19 +387,53 @@ def test_verify_works_with_factored_operator():
 
 @pytest.mark.parametrize("points", [2, 5, 50])
 @settings(max_examples=20, deadline=None)
-@given(fac=factored_ops(), f=exppolys)
-def test_verify_matches_reference_bits(points, fac, f):
+@given(fac=factored_ops(), f=exppolys, c=complex_coeffs, cand=exppolys)
+def test_verify_matches_reference_bits(points, fac, f, c, cand):
     # the cached grid, L[y] - 0 as L[y] itself and the unit scale of f = 0
-    # skip work, not bits: every basis element and the particular solution
+    # skip work, not bits: every basis element, the particular solution, a
+    # fitted solution and a candidate (f's exponents and y's differ), y = 0
+    # (the residual is -f), under the coefficient and the factored operator
     op = fac.to_linop()
-    checks = [(ExpPoly.zero(), b) for b in homogeneous_solution(fac).basis]
-    checks.append((f, particular_solution(fac, f)))
+    basis = homogeneous_solution(fac).basis
+    part = particular_solution(fac, f)
+    fitted = part
+    for b in basis:
+        fitted = fitted + b.scale(c)
+    checks = [(ExpPoly.zero(), b) for b in basis]
+    checks += [(f, part), (f, fitted), (f, cand), (f, ExpPoly.zero())]
     for rhs, y in checks:
-        assert (repr(verify_solution(op, rhs, y, points))
-                == repr(verify_reference(op, rhs, y, points)))
+        for o in (op, fac):
+            assert (repr(verify_solution(o, rhs, y, points))
+                    == repr(verify_reference(o, rhs, y, points)))
+
+
+def test_verify_cleans_an_aligned_difference():
+    # L[y] and f share their one exponent, so L[y] - f is formed term by
+    # term, and its coefficient of x^0, about 1e-13 of its x^1, is cleaned
+    # to 0 before the grid is sampled, as ExpPoly.__sub__ cleans it
+    op = LinOp((-1 + 0j,))
+    f = ExpPoly.term(2.0, Poly((1.0, 1.0)))
+    y = ExpPoly.term(2.0, Poly((-1.0 + 1e-13, 2.0)))
+    assert op.apply(y).terms[0][1].coeffs[0] != 1.0
+    assert (op.apply(y) - f).terms[0][1].coeffs[0] == 0j
+    assert repr(verify_solution(op, f, y)) == repr(verify_reference(op, f, y))
 
 
 # ------------------------------------------------------------- wronskian
+
+@settings(max_examples=300, deadline=None)
+@given(fs=st.lists(edge_exppolys, min_size=1, max_size=3), x0=edge_points,
+       count=st.integers(1, 4))
+@example(fs=[ExpPoly(((-1.5e308, Poly((1 + 1j,))), (1e300, Poly((1e10,)))))],
+         x0=0.0, count=2)
+def test_derivative_table_matches_reference_bits(fs, x0, count):
+    # the derivative and Horner kernels on coefficient tuples, one row per
+    # exponent: the same bits, signed zeros included, or the same exception
+    # class and message, far from 0 (x0 = 800) included
+    from expode.solve import _derivative_table
+    assert (outcome(_derivative_table, fs, x0, count)
+            == outcome(derivative_table_reference, fs, x0, count))
+
 
 def test_wronskian_of_independent_basis():
     hom = homogeneous_solution(FactoredOp(((1 + 0j, 1), (-1 + 0j, 1),
