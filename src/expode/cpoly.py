@@ -301,20 +301,18 @@ class Factorization(Record):
         return Poly._trusted(acc)
 
     @classmethod
-    def from_pairs(cls, pairs, leading: complex = 1.0,
-                   min_separation: float = DEFAULT_CLUSTER_TOL) -> Factorization:
+    def from_pairs(cls, pairs, leading: complex = 1.0) -> Factorization:
         """Build a user-supplied factorization, rejecting near-coincident roots."""
         fact = cls(tuple(pairs), leading)
-        _separated(fact.pairs, min_separation,
+        _separated(fact.pairs, DEFAULT_CLUSTER_TOL,
                    "roots closer than the clustering tolerance must be merged")
         return fact
 
 
-def coefficients_match(p: Poly, q: Poly, rel: float = COEFF_REL_TOL,
-                       abs_floor: float = COEFF_ABS_TOL) -> bool:
+def coefficients_match(p: Poly, q: Poly) -> bool:
     """Per-coefficient comparison; the absolute floor is scaled by max |coeff|."""
-    floor = abs_floor * (1.0 + max(p.max_abs(), q.max_abs()))
-    return all(_near(x, y, rel * max(abs(x), abs(y)) + floor)
+    floor = COEFF_ABS_TOL * (1.0 + max(p.max_abs(), q.max_abs()))
+    return all(_near(x, y, COEFF_REL_TOL * max(abs(x), abs(y)) + floor)
                for x, y in zip_longest(p.coeffs, q.coeffs, fillvalue=0j))
 
 

@@ -175,11 +175,11 @@ class ExpPoly(Record):
     def max_coeff(self) -> float:
         return max((p.max_abs() for _, p in self.terms), default=0.0)
 
-    def term_at(self, lam: complex, tol: float = EXP_MERGE_TOL) -> Poly | None:
-        """Polynomial part at (approximately) the given exponent, else None."""
+    def term_at(self, lam: complex) -> Poly | None:
+        """Nearest polynomial part within EXP_MERGE_TOL of lam, else None."""
         lam, best, best_d = complex(lam), None, math.inf
         for mu, p in self.terms:
-            if _near(mu, lam, tol) and abs(mu - lam) < best_d:
+            if _near(mu, lam, EXP_MERGE_TOL) and abs(mu - lam) < best_d:
                 best, best_d = p, abs(mu - lam)
         return best
 
@@ -267,11 +267,7 @@ class ExpPoly(Record):
 
     def values(self, xs) -> list[complex]:
         """Values at every x in xs, one term at a time (_sampled)."""
-        return self._sample(xs, {})
-
-    def _sample(self, xs, rows: dict) -> list[complex]:
-        """values(xs), with the rows e^(lam*x) shared through rows."""
-        return _sampled([(lam, p.coeffs) for lam, p in self.terms], xs, rows)
+        return _sampled([(lam, p.coeffs) for lam, p in self.terms], xs, {})
 
     def __call__(self, x: complex) -> complex:
         return self.values((x,))[0]

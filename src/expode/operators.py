@@ -119,8 +119,7 @@ def factor_op(op: LinOp) -> FactoredOp:
     return FactoredOp(find_roots(op.char_poly()).pairs)
 
 
-def compose_check(first: FactoredOp, second: FactoredOp, y: ExpPoly,
-                  tol: float = 1e-9) -> bool:
+def compose_check(first: FactoredOp, second: FactoredOp, y: ExpPoly) -> bool:
     """Do two orderings of the same factors act identically on y?
 
     Raises ValueError when the two operators are not permutations of the same
@@ -130,5 +129,5 @@ def compose_check(first: FactoredOp, second: FactoredOp, y: ExpPoly,
         raise ValueError("operators must hold the same factors")
     a = first.apply(y)
     b = second.apply(y)
-    bound = tol * (1.0 + max(a.max_coeff(), b.max_coeff()))
+    bound = 1e-9 * (1.0 + max(a.max_coeff(), b.max_coeff()))
     return coeff_distance(a, b) <= bound

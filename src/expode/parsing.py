@@ -474,17 +474,16 @@ def _affine(terms) -> tuple[complex, complex] | None:
     return None
 
 
-def _constant_of(terms, node: Expr, what: str = "value") -> complex:
-    ab = _affine(terms)
+def _constant_of(expr: Expr, node: Expr, what: str) -> complex:
+    if isinstance(expr, Num):
+        # what the number lowers to, read in place: _checked checks it
+        # finite, abs() overflows as in the cleaning, 0 reads 0j
+        cs = _checked((complex(expr.value),))
+        return cs[0] if cs and abs(cs[0]) else 0j
+    ab = _affine(lower_rhs(expr).terms)
     if ab is None or ab[0] != 0:
         raise UnsupportedForm(f"the {what} must be a constant", node.pos)
     return ab[1]
-
-
-def _terms(parts: dict[complex, tuple]) -> tuple[tuple[complex, Poly], ...]:
-    """ExpPoly(parts).terms."""
-    return ExpPoly(tuple((lam, Poly._trusted(cs))
-                         for lam, cs in parts.items())).terms
 
 
 def _accumulate(acc: dict[complex, tuple], lam: complex, cs: tuple) -> None:
@@ -517,7 +516,7 @@ def _lower(expr: Expr) -> dict[complex, tuple]:
     if isinstance(expr, YTerm):
         raise UnknownOnRhs("y cannot appear in a function expression", expr.pos)
     if isinstance(expr, Call):
-        ab = _affine(_terms(_lower(expr.arg)))
+        ab = _affine(lower_rhs(expr.arg).terms)
         if ab is None:
             raise UnsupportedForm(f"{expr.fn}() argument must be linear in x",
                                   expr.pos)
@@ -548,7 +547,7 @@ def _lower(expr: Expr) -> dict[complex, tuple]:
             if expr.op == "*":
                 steps.append(expr)
             else:
-                denom = _constant_of(_terms(_lower(expr.right)), expr, "divisor")
+                denom = _constant_of(expr.right, expr, "divisor")
                 if denom == 0:
                     raise UnsupportedForm("division by zero", expr.pos)
                 steps.append(denom)
@@ -563,16 +562,10 @@ def _lower(expr: Expr) -> dict[complex, tuple]:
             else:
                 out = _product(out, _lower(step.right), step.pos)
         return out
-    if isinstance(expr.right, Num):
-        # what the number lowers to, read in place: _checked checks it
-        # finite, abs() overflows as in the cleaning, 0 reads 0j
-        cs = _checked((complex(expr.right.value),))
-        exponent = cs[0] if cs and abs(cs[0]) else 0j
-    else:
-        exponent = _constant_of(_terms(_lower(expr.right)), expr, "exponent")
+    exponent = _constant_of(expr.right, expr, "exponent")
     base = None
     if not isinstance(expr.left, VarX):
-        base = _terms(_lower(expr.left))
+        base = lower_rhs(expr.left).terms
         ab = _affine(base)
         if ab is not None and ab[0] == 0:
             return {0j: _checked((_cpow(ab[1], exponent, expr.pos),))}
@@ -600,12 +593,13 @@ def lower_rhs(expr: Expr) -> ExpPoly:
     forcing terms and their later realification share one representation.
     The tree is evaluated in one pass into coefficient tuples keyed by their
     exact exponent, each checked as Poly's arithmetic checks it, and the
-    ExpPoly constructor (merging exponents within EXP_MERGE_TOL, cleaning
-    tiny coefficients) runs once on the result, not after every partial sum
-    or product.  It also runs where a canonical value is read: function
-    arguments, divisors, and both sides of '^'.  Arithmetic that leaves the
-    double range raises UnsupportedForm, and so does a product that holds
-    more than _MAX_COEFFS coefficients, at that product's operator.
+    ExpPoly constructor (merging exponents within EXP_MERGE_TOL, cleaning tiny
+    coefficients) runs once on the result, not after every partial sum or
+    product.  It also runs where a canonical value is read: function arguments,
+    divisors and both sides of '^'; a number literal in a divisor, an exponent,
+    --ivp or --roots is read in place, with the same bits.  Arithmetic that
+    leaves the double range raises UnsupportedForm, and so does a product that
+    holds more than _MAX_COEFFS coefficients, at that product's operator.
     """
     try:
         return ExpPoly(tuple((lam, Poly._trusted(cs))
@@ -624,7 +618,7 @@ def parse_exppoly(text: str) -> ExpPoly:
 
 @_sourced
 def parse_constant(text: str) -> complex:
-    return _constant_of(parse_exppoly(text).terms, Num(0j, 0), "expression")
+    return _constant_of(parse_expression(text), Num(0j, 0), "expression")
 
 
 @_sourced
@@ -642,11 +636,11 @@ def parse_initial_conditions(text: str) -> tuple[tuple[int, float, complex], ...
         p.expect(")", "')'")
         p.expect("=", "'='")
         v_expr = p.expr()
-        x0 = _constant_of(lower_rhs(x_expr).terms, x_expr, "evaluation point")
+        x0 = _constant_of(x_expr, x_expr, "evaluation point")
         if abs(x0.imag) > 1e-12 * (1.0 + abs(x0)):
             raise UnsupportedForm("the evaluation point must be real",
                                   x_expr.pos)
-        value = _constant_of(lower_rhs(v_expr).terms, v_expr, "condition value")
+        value = _constant_of(v_expr, v_expr, "condition value")
         out.append((order, float(x0.real), value))
         kind, _, pos, _ = p.toks[p.k]
         if kind == "end":

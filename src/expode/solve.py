@@ -274,8 +274,8 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
     return VerifyReport(symbolic, worst)
 
 
-def wronskian_determinant(basis, x0: float = 0.0) -> float:
-    """|det| of the derivative matrix of the basis at x0, rows normalized.
+def wronskian_determinant(basis) -> float:
+    """|det| of the derivative matrix of the basis at 0, rows normalized.
 
     A numerically nonzero value certifies linear independence of the basis.
     """
@@ -283,7 +283,7 @@ def wronskian_determinant(basis, x0: float = 0.0) -> float:
     if n == 0:
         raise ValueError("basis must be nonempty")
     rows = []
-    for row in _derivative_table(basis, x0, n):
+    for row in _derivative_table(basis, 0.0, n):
         top = max(abs(v) for v in row) or 1.0  # a zero row stays singular
         rows.append([v / top for v in row])
     try:

@@ -17,10 +17,10 @@ from expode.cpoly import (_EPS, _MAX_SWEEPS, Factorization, _conjugate_pairs,
                           _near, _start_points)
 from expode.exppoly import COEFF_CLEAN_REL, _conjugate_poly, _kept, _real_poly
 from expode.parsing import (_MAX_POWER, Bin, Call, Expr, Neg, Num,
-                            UnknownOnRhs, UnsupportedForm, VarX, YTerm,
-                            _additive_terms, _affine, _coeff_body,
-                            _constant_of, _cpow, _fmt_real, _fold_const,
-                            _imag_body)
+                            ParseError, UnknownOnRhs, UnsupportedForm, VarX,
+                            YTerm, _additive_terms, _affine, _coeff_body,
+                            _cpow, _fmt_real, _fold_const, _imag_body,
+                            _Parser, _sourced, lower_rhs, parse_exppoly)
 
 # exponent grid for function-space properties
 GRID = (0j, 1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j, 1j, -1j, 1 + 1j, 1 - 1j)
@@ -623,6 +623,15 @@ def _terms_reference(parts: dict[complex, Poly]
     return ExpPoly(tuple(parts.items())).terms
 
 
+def constant_of_reference(terms, node: Expr, what: str = "value") -> complex:
+    """parsing._constant_of as it was before it lowered its own expression
+    and read a number literal in place: it read canonical terms."""
+    ab = _affine(terms)
+    if ab is None or ab[0] != 0:
+        raise UnsupportedForm(f"the {what} must be a constant", node.pos)
+    return ab[1]
+
+
 def _accumulate_reference(acc: dict[complex, Poly], lam: complex,
                           p: Poly) -> None:
     q = acc.get(lam)
@@ -681,7 +690,7 @@ def _lower_reference(expr: Expr) -> dict[complex, Poly]:
             if expr.op == "*":
                 steps.append(expr.right)
             else:
-                denom = _constant_of(
+                denom = constant_of_reference(
                     _terms_reference(_lower_reference(expr.right)), expr,
                     "divisor")
                 if denom == 0:
@@ -702,7 +711,7 @@ def _lower_reference(expr: Expr) -> dict[complex, Poly]:
         cs = Poly((expr.right.value,)).coeffs
         exponent = cs[0] if cs and abs(cs[0]) else 0j
     else:
-        exponent = _constant_of(
+        exponent = constant_of_reference(
             _terms_reference(_lower_reference(expr.right)), expr, "exponent")
     base = None
     if not isinstance(expr.left, VarX):
@@ -749,6 +758,46 @@ def lower_reference(expr: Expr) -> ExpPoly:
         # inf, or a magnitude (abs) that leaves the double range
         raise UnsupportedForm(f"arithmetic does not stay finite: {exc}",
                               0) from exc
+
+
+@_sourced
+def constant_reference(text: str) -> complex:
+    """parsing.parse_constant as it was before _constant_of read a number
+    literal in place: the whole text lowered through parse_exppoly."""
+    return constant_of_reference(parse_exppoly(text).terms, Num(0j, 0),
+                                 "expression")
+
+
+@_sourced
+def initial_conditions_reference(text: str) -> tuple:
+    """parsing.parse_initial_conditions as it was before _constant_of read
+    a number literal in place: each point and value lowered by lower_rhs."""
+    p = _Parser(text)
+    out = []
+    while True:
+        _, name, pos, _ = p.expect("name", "'y'")
+        if name != "y":
+            raise ParseError("conditions must constrain y", pos, ("'y'",))
+        order = p.y_suffix()
+        p.expect("(", "'('")
+        x_expr = p.expr()
+        p.expect(")", "')'")
+        p.expect("=", "'='")
+        v_expr = p.expr()
+        x0 = constant_of_reference(lower_rhs(x_expr).terms, x_expr,
+                                   "evaluation point")
+        if abs(x0.imag) > 1e-12 * (1.0 + abs(x0)):
+            raise UnsupportedForm("the evaluation point must be real",
+                                  x_expr.pos)
+        value = constant_of_reference(lower_rhs(v_expr).terms, v_expr,
+                                      "condition value")
+        out.append((order, float(x0.real), value))
+        kind, _, pos, _ = p.toks[p.k]
+        if kind == "end":
+            return tuple(out)
+        if kind != ",":
+            raise ParseError("expected ','", pos, ("','", "end of input"))
+        p.k += 1
 
 
 # constants where lowering's checks meet: signed zeros, the edges of the

@@ -15,7 +15,7 @@ from expode import (
     coeff_distance,
     realify,
 )
-from expode.exppoly import _canonical
+from expode.exppoly import _canonical, _sampled
 from strategies import (
     GRID,
     antiderivative_reference,
@@ -154,7 +154,8 @@ def test_shared_rows_give_each_function_its_own_values(pair, xs):
     # signed zero exponents included: 0j and -0j share one row
     rows, hexed = {}, lambda vs: [(v.real.hex(), v.imag.hex()) for v in vs]
     for f in pair:
-        assert hexed(f._sample(xs, rows)) == hexed(f.values(xs))
+        terms = [(lam, p.coeffs) for lam, p in f.terms]
+        assert hexed(_sampled(terms, xs, rows)) == hexed(f.values(xs))
 
 
 def test_scale_by_zero():
@@ -198,7 +199,8 @@ def test_sample_matches_reference_bits(fs, xs):
     # included, or the same exception class and message
     rows, old_rows = {}, {}
     for f in fs:
-        assert (outcome(f._sample, xs, rows)
+        terms = [(lam, p.coeffs) for lam, p in f.terms]
+        assert (outcome(_sampled, terms, xs, rows)
                 == outcome(sample_reference, f, xs, old_rows))
 
 

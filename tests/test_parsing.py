@@ -34,9 +34,11 @@ from expode import (
     render_poly,
 )
 from expode.parsing import Bin, Call, Neg, Num, VarX, YTerm
-from strategies import (ep_close, exp_factor_reference, exppolys,
+from strategies import (constant_of_reference, constant_reference,
+                        ep_close, exp_factor_reference, exppolys,
                         forcing_texts, format_constant_reference,
-                        lower_reference, render_complex, render_floats,
+                        initial_conditions_reference, lower_reference,
+                        render_complex, render_floats,
                         trig_argument_reference)
 
 
@@ -759,6 +761,85 @@ def test_parse_conditions_errors():
         parse_initial_conditions("y(0)=1,")
     with pytest.raises(UnsupportedForm):
         parse_initial_conditions("y(0)=x")
+
+
+# ------------------------------------------------------- constants
+
+# number literals where reading one in place meets the double range and the
+# sign of zero, and constant expressions that still lower through lower_rhs
+_literals = st.one_of(
+    st.sampled_from(("0", "0.0", "5e-324", "1e-308", "1", "7", "1e308",
+                     "1.7e308")),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(repr),
+).flatmap(lambda t: st.sampled_from((t, t + "i")))
+constant_texts = st.one_of(
+    _literals, st.just("i"),
+    st.builds("-{}".format, _literals),
+    st.builds("{}{}{}".format, _literals, st.sampled_from("+-*/^"), _literals),
+    forcing_texts(max_power=3, max_leaves=4))
+
+
+def _read(fn, *args):
+    """The value with every float as hex, signed zeros included, or the
+    error's class, message, position and source."""
+    def hexed(v):
+        if isinstance(v, tuple):
+            return tuple(map(hexed, v))
+        if isinstance(v, complex):
+            return v.real.hex(), v.imag.hex()
+        return v.hex() if isinstance(v, float) else v
+    try:
+        return hexed(fn(*args))
+    except EquationError as exc:
+        return type(exc).__name__, str(exc), exc.pos, exc.source
+
+
+def _constant_of_parent(expr):
+    return constant_of_reference(lower_rhs(expr).terms, expr, "value")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=constant_texts)
+@example(text="0")
+@example(text="0i")
+@example(text="5e-324")
+@example(text="1e308")
+@example(text="1e308i")
+@example(text="2*3")
+@example(text="-0")
+@example(text="(1+2i)/3")
+@example(text="x")  # not a constant
+@example(text="1/0")
+@example(text="exp(1000)")
+def test_constant_reader_matches_reference_bits(text):
+    # a number literal is read in place, anything else through lower_rhs:
+    # the same bits as the canonical terms gave, or the same error
+    expr = parse_expression(text)
+    assert (_read(expode.parsing._constant_of, expr, expr, "value")
+            == _read(_constant_of_parent, expr))
+
+
+_orders = st.sampled_from(("", "'", "''", "^(3)"))
+_condition = st.builds("y{}({})={}".format, _orders, constant_texts,
+                       constant_texts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=constant_texts,
+       conditions=st.lists(_condition, min_size=1, max_size=3).map(", ".join))
+@example(text="0", conditions="y(0)=1, y'(0)=0")
+@example(text="-0", conditions="y(0)=3, y'(0)=-2, y''(0)=-2, y^(3)(0)=-1")
+@example(text="1e308i", conditions="y(5e-324)=1e308i, y'(-0)=0i")
+@example(text="x", conditions="y(x)=1")
+@example(text="1/0", conditions="y(0)=1/0")
+@example(text="exp(1000)", conditions="y(1e308)=exp(1000)")
+@example(text="(1+2i)/3", conditions="y(2*3)=(1+2i)/3, y'(i)=1")
+def test_constant_entry_points_match_reference_bits(text, conditions):
+    # the --roots and --ivp readers, with the source an error carries
+    assert (_read(parse_constant, text)
+            == _read(constant_reference, text))
+    assert (_read(parse_initial_conditions, conditions)
+            == _read(initial_conditions_reference, conditions))
 
 
 # ------------------------------------------------------------- rendering
