@@ -7,16 +7,10 @@ all live here.  Terms are kept canonical (sorted by exponent, exponents
 merged within EXP_MERGE_TOL, relatively tiny coefficients dropped), so
 resonance detection reduces to an exponent landing on zero after a shift.
 
-The constructor checks and converts every exponent, sorts and merges.  A
-result whose exponents are those of a canonical input, in the same order
-(negation, scale, derivative, antiderivative, LinOp.apply and the particular
-solution), is built by ExpPoly._trusted, which only cleans the polynomial
-parts: canonical exponents are sorted and pairwise farther apart than
-EXP_MERGE_TOL, so sorting and merging them again would change nothing.
-For the same reason a sum with zero is the other operand itself: the
-constructor would clean its canonical terms back to the same terms, and a
-sum of two operands with equal exponents, in the same order, adds them term
-by term: the constructor would pair each term with its twin at distance 0.
+Every ExpPoly is built by its constructor: every exponent is converted and
+checked, and every term is formed, before any is sorted, merged or cleaned.
+The hot paths (the verifier and the IVP fit's derivative table) run on
+coefficient tuples, through the kernels below.
 """
 
 from __future__ import annotations
@@ -145,14 +139,6 @@ class ExpPoly(Record):
         object.__setattr__(self, "terms", _canonical(terms))
 
     @classmethod
-    def _trusted(cls, terms) -> ExpPoly:
-        """An ExpPoly from (exponent, Poly) pairs whose exponents are already
-        canonical, in order: only the polynomial parts are cleaned."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "terms", _kept(terms))
-        return f
-
-    @classmethod
     def zero(cls) -> ExpPoly:
         return cls(())
 
@@ -184,26 +170,17 @@ class ExpPoly(Record):
         return best
 
     def __add__(self, other: ExpPoly) -> ExpPoly:
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        if [lam for lam, _ in self.terms] == [lam for lam, _ in other.terms]:
-            # each term's twin is the one at distance 0, so the constructor
-            # would merge exactly these pairs, in this order
-            return ExpPoly._trusted((lam, p + q) for (lam, p), (_, q)
-                                    in zip(self.terms, other.terms))
         return ExpPoly(self.terms + other.terms)
 
     def __neg__(self) -> ExpPoly:
-        return ExpPoly._trusted((lam, -p) for lam, p in self.terms)
+        return ExpPoly(tuple((lam, -p) for lam, p in self.terms))
 
     def __sub__(self, other: ExpPoly) -> ExpPoly:
         return self + (-other)
 
     def scale(self, c: complex) -> ExpPoly:
         c = complex(c)
-        return ExpPoly._trusted((lam, p.scale(c)) for lam, p in self.terms)
+        return ExpPoly(tuple((lam, p.scale(c)) for lam, p in self.terms))
 
     def __mul__(self, other: ExpPoly) -> ExpPoly:
         out = []
@@ -218,8 +195,8 @@ class ExpPoly(Record):
         return ExpPoly(tuple((lam + c, p) for lam, p in self.terms))
 
     def derivative(self) -> ExpPoly:
-        return ExpPoly._trusted([(lam, Poly._trusted(_derived(lam, p.coeffs)))
-                                 for lam, p in self.terms])
+        return ExpPoly(tuple((lam, Poly._trusted(_derived(lam, p.coeffs)))
+                             for lam, p in self.terms))
 
     def _inverse(self, factors) -> ExpPoly:
         """Solve prod (D - r)^mult y = self with no kernel part in y: each term
@@ -241,7 +218,7 @@ class ExpPoly(Record):
             for _ in range(resonance):
                 w = [0j] + [c / (k + 1) for k, c in enumerate(w)]
             out.append((lam, Poly._trusted(tuple(w))))
-        return ExpPoly._trusted(out)
+        return ExpPoly(tuple(out))
 
     def antiderivative(self) -> ExpPoly:
         """One antiderivative with every integration constant set to zero.

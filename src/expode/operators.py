@@ -52,10 +52,9 @@ class LinOp(Record):
                              for lam, p in y.terms])
 
     def apply(self, y: ExpPoly) -> ExpPoly:
-        """L[e^(lam*x) p] = e^(lam*x) P(lam + D) p, term by term (_applied's
-        parts are clean already, and cleaning them again keeps them)."""
-        return ExpPoly._trusted([(lam, Poly._trusted(cs))
-                                 for lam, cs in self._applied(y)])
+        """L[e^(lam*x) p] = e^(lam*x) P(lam + D) p, term by term: the
+        constructor keeps _applied's pairs as they are."""
+        return ExpPoly(self._applied(y))
 
 
 def _taylor_applied(char: tuple, lam: complex, cs: tuple) -> tuple:

@@ -222,14 +222,14 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
     points over [-1, 1].  Both are divided by 1 + |f|, so for a small f
     (f = 0 for a basis element) 'verified' bounds an absolute error,
     whatever the size of y.
-    L[y] - f is formed on coefficient tuples by the arithmetic of
-    LinOp.apply and ExpPoly.__sub__, and the grid is evaluated term by term
-    by the kernel of ExpPoly.values, which gives the same bits as
-    evaluating it point by point; the row e^(lam*x) of an exponent is
-    computed once for both sides.  With f = 0 the subtraction returns L[y]
-    itself and f's grid is skipped: the scale is exactly 1.0, and dividing
-    by it changes no bit.  Raises NonConvergence when L[y] - f or a sampled
-    value overflows, naming the first grid point that does.
+    L[y] - f is the ExpPoly constructor's result, formed on coefficient
+    tuples: L[y] by LinOp.apply's arithmetic, minus f term by term when the
+    exponents agree (the twins the constructor would merge), and L[y] itself
+    when f = 0, whose grid is skipped: the scale is exactly 1.0, and
+    dividing by it changes no bit.  The grid runs term by term through
+    ExpPoly.values' kernel, with the bits of a point-by-point evaluation;
+    each row e^(lam*x) serves both sides.  Raises NonConvergence when
+    L[y] - f or a sampled value overflows, naming the first x that does.
     """
     if points < 2:
         raise ValueError("need at least 2 sample points")
@@ -239,7 +239,7 @@ def verify_solution(op: LinOp | FactoredOp, f: ExpPoly, y: ExpPoly,
     try:
         ly = (op._applied(y) if isinstance(op, LinOp)
               else [(lam, p.coeffs) for lam, p in op.apply(y).terms])
-        # ExpPoly.__sub__'s rule, ly + (-f), on coefficient tuples
+        # ExpPoly(ly + (-f).terms), term by term when the exponents agree
         neg = _kept_coeffs([(lam, _checked(_neg(cs))) for lam, cs in fs])
         if not neg or not ly:
             residual = ly or neg

@@ -361,7 +361,7 @@ def antiderivative_reference(f: ExpPoly) -> ExpPoly:
             for k in range(len(p.coeffs) - 2, -1, -1):
                 q[k] = (p.coeffs[k] - (k + 1) * q[k + 1]) / lam
             out.append((lam, Poly._trusted(tuple(q))))
-    return ExpPoly._trusted(out)
+    return trusted_reference(out)
 
 
 def particular_reference(factored: FactoredOp, rhs: ExpPoly) -> ExpPoly:
@@ -382,7 +382,7 @@ def particular_reference(factored: FactoredOp, rhs: ExpPoly) -> ExpPoly:
                              if abs(lam - r) <= EXP_MERGE_TOL), 0)):
             w = [0j] + [c / (k + 1) for k, c in enumerate(w)]
         out.append((lam, Poly._trusted(tuple(w))))
-    return ExpPoly._trusted(out)
+    return trusted_reference(out)
 
 
 def aberth_reference(monic, deriv: Poly) -> list:
@@ -505,8 +505,11 @@ def _cleaned_reference(p: Poly) -> Poly:
 
 
 def trusted_reference(terms) -> ExpPoly:
-    """ExpPoly._trusted with exppoly._kept as it was written before the
-    cleaning rule ran on coefficient tuples."""
+    """ExpPoly._trusted, which built the results whose exponents are those of
+    a canonical input, in order, before every ExpPoly went through the
+    constructor, with exppoly._kept as it was written before the cleaning
+    rule ran on coefficient tuples: each polynomial part is cleaned as it
+    is drawn from terms, and nothing is sorted or merged."""
     out = []
     for lam, p in terms:
         p = _cleaned_reference(p)
@@ -515,6 +518,20 @@ def trusted_reference(terms) -> ExpPoly:
     f = object.__new__(ExpPoly)
     object.__setattr__(f, "terms", tuple(out))
     return f
+
+
+def sum_reference(f: ExpPoly, g: ExpPoly) -> ExpPoly:
+    """ExpPoly.__add__ as it was written before it became one constructor
+    call: a zero operand gave the other, and operands with the same
+    exponents, in the same order, were added term by term."""
+    if not g.terms:
+        return f
+    if not f.terms:
+        return g
+    if [lam for lam, _ in f.terms] == [lam for lam, _ in g.terms]:
+        return trusted_reference((lam, p + q) for (lam, p), (_, q)
+                                 in zip(f.terms, g.terms))
+    return ExpPoly(f.terms + g.terms)
 
 
 def apply_reference(op, y: ExpPoly) -> ExpPoly:
@@ -859,7 +876,7 @@ def exppoly_pairs(draw):
             lam = complex(-lam.real, -lam.imag)
         q = draw(st.sampled_from((-p, p)) | _sum_polys)
         terms.append((lam, q))
-    return a, ExpPoly._trusted(terms)
+    return a, trusted_reference(terms)
 
 
 @st.composite

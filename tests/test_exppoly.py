@@ -22,6 +22,7 @@ from strategies import (
     canonical_reference,
     complex_coeffs,
     derivative_reference,
+    edge_coeffs,
     edge_exppolys,
     edge_points,
     ep_close,
@@ -32,6 +33,8 @@ from strategies import (
     outcome,
     pointwise_value,
     sample_reference,
+    sum_reference,
+    trusted_reference,
 )
 
 
@@ -145,6 +148,44 @@ def test_sum_matches_the_constructor(pair):
     a, b = pair
     assert repr(a + b) == repr(ExpPoly(a.terms + b.terms))
     assert repr(a - b) == repr(ExpPoly(a.terms + (-b).terms))
+
+
+# (0.7e308+0.7e308i)*exp(x) + 1e308*exp(2*x): doubled, the first term's
+# modulus and the second term leave the double range
+_PAST_RANGE = ExpPoly(((1 + 0j, Poly((complex(0.7e308, 0.7e308),))),
+                       (2 + 0j, Poly((1e308,)))))
+
+
+@settings(max_examples=300)
+@given(pair=st.tuples(edge_exppolys, edge_exppolys) | exppoly_pairs(),
+       c=st.sampled_from((0, -0.0, 0.5, 1e308, -0.5j)) | edge_coeffs)
+@example(pair=(_PAST_RANGE, _PAST_RANGE), c=2)
+def test_results_are_built_by_the_constructor(pair, c):
+    # -f, f.scale(c), f + g and f - g are ExpPoly on their term lists: the
+    # same bits, or the same exception, since every term is checked before
+    # any is cleaned (in the example, the second term's ValueError wins over
+    # the first's OverflowError of abs, in scale and in the aligned sum).
+    # Where both succeed, the bits are also those of the shortcuts that
+    # only cleaned: a zero operand, aligned exponents, unchanged exponents.
+    f, g = pair
+    neg = lambda h: tuple((lam, -p) for lam, p in h.terms)
+    scaled = lambda: ((lam, p.scale(complex(c))) for lam, p in f.terms)
+    cases = [
+        (lambda: -f, lambda: ExpPoly(neg(f)),
+         lambda: trusted_reference(neg(f))),
+        (lambda: f.scale(c), lambda: ExpPoly(tuple(scaled())),
+         lambda: trusted_reference(scaled())),
+        (lambda: f + g, lambda: ExpPoly(f.terms + g.terms),
+         lambda: sum_reference(f, g)),
+        (lambda: f - g, lambda: ExpPoly(f.terms + (-g).terms),
+         lambda: sum_reference(f, trusted_reference(neg(g)))),
+    ]
+    for result, built, shortcut in cases:
+        got = outcome(result)
+        assert got == outcome(built)
+        old = outcome(shortcut)
+        if isinstance(got, str) and isinstance(old, str):
+            assert got == old
 
 
 @settings(max_examples=200)
