@@ -13,6 +13,16 @@ coefficients against the input; the coarsest grouping that certifies wins.
 
 from __future__ import annotations
 
+__all__ = [
+    "DEFAULT_CLUSTER_TOL",
+    "Factorization",
+    "NonConvergence",
+    "Poly",
+    "coefficients_match",
+    "find_roots",
+    "monomial",
+]
+
 import cmath
 import math
 import sys

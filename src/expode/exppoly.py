@@ -15,6 +15,15 @@ coefficient tuples, through the kernels below.
 
 from __future__ import annotations
 
+__all__ = [
+    "EXP_MERGE_TOL",
+    "ExpPoly",
+    "NotConjugateClosed",
+    "TrigForm",
+    "coeff_distance",
+    "realify",
+]
+
 import cmath
 import math
 from itertools import zip_longest

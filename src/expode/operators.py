@@ -10,6 +10,13 @@ groups commute, which the solver leans on.
 
 from __future__ import annotations
 
+__all__ = [
+    "FactoredOp",
+    "LinOp",
+    "compose_check",
+    "factor_op",
+]
+
 import cmath
 
 from .cpoly import (Factorization, Poly, Record, _checked, _near, _root_pairs,

@@ -22,6 +22,26 @@ polynomials in x with exp/sin/cos of expressions linear in x.
 
 from __future__ import annotations
 
+__all__ = [
+    "EquationAst",
+    "EquationError",
+    "NonlinearTerm",
+    "ParseError",
+    "UnknownOnRhs",
+    "UnsupportedForm",
+    "build_operator",
+    "compile_equation",
+    "format_constant",
+    "lower_rhs",
+    "parse_constant",
+    "parse_equation",
+    "parse_exppoly",
+    "parse_expression",
+    "parse_initial_conditions",
+    "render",
+    "render_poly",
+]
+
 import cmath
 import functools
 import math
@@ -36,18 +56,17 @@ from .operators import LinOp
 class EquationError(Exception):
     """Problems turning input text into an equation or function."""
 
-    def __init__(self, message: str, pos: int | None = None,
-                 source: str | None = None):
+    def __init__(self, message: str, pos: int | None = None):
         super().__init__(message)
         self.pos = pos
-        self.source = source
+        self.source: str | None = None
 
 
 class ParseError(EquationError):
     """Malformed input; carries the offending position and what was expected."""
 
-    def __init__(self, message: str, pos: int, expected=(), source=None):
-        super().__init__(message, pos, source)
+    def __init__(self, message: str, pos: int, expected=()):
+        super().__init__(message, pos)
         self.expected = tuple(expected)
 
 

@@ -12,6 +12,23 @@ constant dropped.  No power below x^m appears, so y has no kernel part.
 
 from __future__ import annotations
 
+__all__ = [
+    "AnsatzForm",
+    "FullSolution",
+    "HomogeneousSolution",
+    "SingularSystem",
+    "SolveReport",
+    "VerifyReport",
+    "ansatz_form",
+    "fit_initial_conditions",
+    "homogeneous_solution",
+    "particular_solution",
+    "real_homogeneous_solution",
+    "solve_equation",
+    "verify_solution",
+    "wronskian_determinant",
+]
+
 import cmath
 import functools
 import math

@@ -316,9 +316,11 @@ def _refine_inputs(draw):
 @settings(max_examples=150, deadline=None)
 @given(inputs=_refine_inputs())
 @example(inputs=((1 + 0j, 1 + 0j, 1e308 + 0j, 1 + 0j), 0.5 + 0j, 1, 1e-6))
+@example(inputs=((-1 + 0j, 0j, 1 + 0j), 0j, 1, 1e-6))
 def test_refined_matches_reference_bits(inputs):
     # q and q' in one pass: the same Newton iterates, the same overflow (in
-    # the example, P' = q' has the coefficient 2e308)
+    # the first example, P' = q' has the coefficient 2e308; in the second,
+    # P' = 2r vanishes at the start, which ends the iteration at once)
     monic, centroid, mult, cut = inputs
     ours, theirs = [Poly._trusted(monic)], [Poly._trusted(monic)]
     got = _outcome(_refined, ours, centroid, mult, cut)
@@ -369,6 +371,16 @@ def test_nonconvergence_when_tolerance_too_coarse(monkeypatch):
     monkeypatch.setattr(cpoly, "_CUTS", (10.0,))
     with pytest.raises(NonConvergence):
         find_roots(Poly([0, -1, 0, 1]))
+
+
+def test_candidate_with_coinciding_roots_is_skipped(monkeypatch):
+    # refining both roots of r^2 - 3r + 2 to 1.5 makes every candidate
+    # repeat a root; each is skipped, so no grouping certifies
+    monkeypatch.setattr(cpoly, "_refined", lambda *args: 1.5 + 0j)
+    with pytest.raises(NonConvergence) as exc:
+        find_roots(Poly((2, -3, 1)))
+    assert str(exc.value) == (
+        "no root clustering reproduces the input coefficients")
 
 
 def test_cluster_cuts_are_fixed():

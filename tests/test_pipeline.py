@@ -72,3 +72,32 @@ def test_solve_stays_a_module():
     # and break every `expode.solve.<name>` lookup
     assert isinstance(expode.solve, types.ModuleType)
     assert expode.solve.solve_equation is solve_equation
+
+
+MODULES = (expode.cpoly, expode.exppoly, expode.operators, expode.parsing,
+           expode.solve)
+
+
+def test_public_names_are_declared_once():
+    # each module lists its names once, sorted, and the package's list is
+    # their disjoint union
+    lists = [module.__all__ for module in MODULES]
+    assert all(names == sorted(names) for names in lists)
+    union = [name for names in lists for name in names]
+    assert len(set(union)) == len(union)
+    assert expode.__all__ == sorted(union) + ["__version__"]
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(expode, name) is getattr(module, name)
+
+
+def test_package_exports_exactly_its_all():
+    # expode.cli joins dir(expode) once any test imports it, so modules are
+    # filtered by type rather than by name
+    public = {name for name in dir(expode) if not name.startswith("_")
+              and not isinstance(getattr(expode, name), types.ModuleType)}
+    assert public == set(expode.__all__) - {"__version__"}
+    ns = {}
+    exec("from expode import *", ns)
+    ns.pop("__builtins__")
+    assert set(ns) == set(expode.__all__)
