@@ -299,15 +299,13 @@ class Factorization(Record):
         return sum(m for _, m in self.pairs)
 
     def expand(self) -> Poly:
-        # acc * (x - r) on tuples, each slot summed as _mul sums it
+        # acc * (x - r) over zero-padded tuples, each slot summed as _mul sums it
         acc = (self.leading,)
         for r, m in self.pairs:
             nr = -r
             for _ in range(m):
-                acc = _checked((0j + acc[0] * nr,)
-                               + tuple((0j + a * (1 + 0j)) + b * nr
-                                       for a, b in zip(acc, acc[1:]))
-                               + (0j + acc[-1] * (1 + 0j),))
+                acc = _checked(tuple(0j + a + b * nr
+                                     for a, b in zip((0j,) + acc, acc + (0j,))))
         return Poly._trusted(acc)
 
     @classmethod

@@ -181,7 +181,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.k = 0  # the next token; never moves past the 'end' token
-        self.depth = 0  # nesting levels open
+        self.depth = 0  # factor() calls open
 
     def expect(self, kind: str, what: str) -> tuple:
         tok = self.toks[self.k]
@@ -194,11 +194,6 @@ class _Parser:
         tok = self.toks[self.k]
         if tok[0] != "end":
             raise ParseError("unexpected trailing input", tok[2], ("end of input",))
-
-    def nest(self, pos: int) -> None:
-        if self.depth == _MAX_NESTING:
-            raise ParseError("expression nests too deeply", pos)
-        self.depth += 1
 
     def expr(self) -> Expr:
         node = self.term()
@@ -224,19 +219,25 @@ class _Parser:
             elif tok[0] == "name" and self.toks[self.k - 1][0] == "num":
                 # coefficient juxtaposition: 2x, 2y', 3exp(x); multiplies
                 # at '*' precedence, so 2x^2 reads 2*(x^2)
-                node = Bin("*", node, self.power(), tok[2])
+                node = Bin("*", node, self.factor(), tok[2])
             else:
                 return node
 
     def factor(self) -> Expr:
+        # '(', a unary sign and '^' each open one more factor right after
+        # them, before theirs closes: the factors open are the nestings + 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError("expression nests too deeply", self.toks[self.k - 1][2])
+        self.depth += 1
         kind, _, pos, _ = self.toks[self.k]
         if kind != "+" and kind != "-":
-            return self.power()
-        self.k += 1
-        self.nest(pos)
-        node = self.factor()
+            node = self.power()
+        else:
+            self.k += 1
+            node = self.factor()
+            node = node if kind == "+" else Neg(node, pos)
         self.depth -= 1
-        return node if kind == "+" else Neg(node, pos)
+        return node
 
     def power(self) -> Expr:
         base = self.atom()
@@ -244,17 +245,13 @@ class _Parser:
         if kind != "^":
             return base
         self.k += 1
-        self.nest(pos)
-        node = Bin("^", base, self.factor(), pos)
-        self.depth -= 1
-        return node
+        return Bin("^", base, self.factor(), pos)
 
-    def group(self, pos: int) -> Expr:
-        """The expression after the '(' at pos, and its ')'."""
-        self.nest(pos)
+    def group(self) -> Expr:
+        """'(', an expression and its ')'."""
+        self.expect("(", "'('")
         node = self.expr()
         self.expect(")", "')'")
-        self.depth -= 1
         return node
 
     def atom(self) -> Expr:
@@ -263,8 +260,7 @@ class _Parser:
             self.k += 1
             return Num(value, pos)
         if kind == "(":
-            self.k += 1
-            return self.group(pos)
+            return self.group()
         if kind == "name":
             self.k += 1
             if name == "y":
@@ -274,7 +270,7 @@ class _Parser:
             if name == "i":
                 return Num(1j, pos)
             if name in _FOLD:
-                return Call(name, self.group(self.expect("(", "'('")[2]), pos)
+                return Call(name, self.group(), pos)
             raise ParseError(f"unknown name {name!r}", pos, _NAMES)
         raise ParseError("expected a value", pos, ("number", *_NAMES, "'('"))
 

@@ -32,6 +32,7 @@ __all__ = [
 import cmath
 import functools
 import math
+import re
 
 from .exppoly import (EXP_MERGE_TOL, ExpPoly, NotConjugateClosed, _derived,
                       _kept_coeffs, _sampled)
@@ -334,8 +335,10 @@ def _factored_from_user(op: LinOp, text: str) -> FactoredOp:
             raise RootsError(
                 f"roots entries look like 'root:multiplicity', got {chunk!r}")
         root = parse_constant(root_text.strip())
-        try:
-            mult = int(mult_text.strip())
+        try:  # ASCII digits, as a root's; int() also reads '0_2' and '٢'
+            if not re.fullmatch(r"\s*[+-]?[0-9]+", mult_text):
+                raise ValueError
+            mult = int(mult_text)
         except ValueError:
             raise ValueError(f"bad multiplicity in {chunk!r}") from None
         pairs.append((root, mult))

@@ -323,6 +323,11 @@ def test_user_roots_validated_against_equation(capsys):
     capsys.readouterr()
     assert main(["solve", "y'' - y = 0", "--roots", "1:x, -1:1"]) == 2
     assert capsys.readouterr().err == "error: bad multiplicity in '1:x'\n"
+    # a multiplicity is read in ASCII digits, as the root beside it is
+    for roots in ("1:0_2", "1:２", "1:٢"):
+        assert main(["solve", "y'' - 2*y' + y = 0", "--roots", roots]) == 2
+        assert capsys.readouterr().err == f"error: bad multiplicity in {roots!r}\n"
+    assert main(["solve", "y'' - 2*y' + y = 0", "--roots", "1:+2"]) == 0
 
 
 @pytest.mark.parametrize("roots, message", [

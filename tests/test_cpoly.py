@@ -339,6 +339,10 @@ _roots = st.one_of(st.sampled_from(OP_GRID), complex_coeffs, _wide_complex)
 @example(pairs=[(2 + 0j, 1)], lead=1.7e308 + 0j)
 @example(pairs=[(complex(-0.0, 0.0), 1), (complex(1.0, -0.0), 2)],
          lead=complex(-0.0, 1.0))
+# every slot below the top a signed zero
+@example(pairs=[(complex(0.0, -0.0), 3)], lead=1.0 + 0j)
+# 0j*(-r) brings a negative zero into the top slot
+@example(pairs=[(complex(1.0, 1.0), 2)], lead=complex(2.0, -0.0))
 def test_expand_matches_reference_bits(pairs, lead):
     # the product on tuples forms every slot as Poly's _mul does, signed
     # zeros included, and raises the same ValueError past the double range

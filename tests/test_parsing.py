@@ -1,6 +1,7 @@
 """Equation parsing, lowering, and rendering."""
 
 import cmath
+import sys
 import time
 
 import pytest
@@ -382,6 +383,35 @@ def test_parse_error_position_and_expectations():
     assert exc.value.pos == 6
     assert exc.value.expected
     assert exc.value.source == "y'' + = 0"
+
+
+def _from_depth(frames, fn):
+    """fn() called from a stack about `frames` frames deep, counting the
+    test runner's own frames."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return fn() if depth >= frames else _from_depth(frames, fn)
+
+
+@pytest.mark.parametrize("nested, pos", [
+    # n openings of each kind, and where the 101st of them starts
+    (lambda n: "(" * n + "x" + ")" * n, 100),
+    (lambda n: "exp(" * n + "x" + ")" * n, 403),
+    (lambda n: "-" * n + "x", 100),
+    (lambda n: "x" + "^1" * n, 201),
+    (lambda n: ("-(" * n)[:n] + "x" + ")" * (n // 2), 100),
+    (lambda n: "2exp(0*" * n + "x" + ")" * n, 704),
+], ids=["paren", "exp", "sign", "power", "sign-paren", "juxtaposed"])
+def test_nesting_cap_at_its_edge(nested, pos):
+    # 100 levels parse, also with 300 frames below them, and the 101st
+    # opening is the one the error points at
+    tree = parse_expression(nested(100))
+    assert _from_depth(300, lambda: parse_expression(nested(100))) == tree
+    with pytest.raises(ParseError) as exc:
+        parse_expression(nested(101))
+    assert str(exc.value) == "expression nests too deeply"
+    assert exc.value.pos == pos
 
 
 @pytest.mark.parametrize("entry, text, error", [
