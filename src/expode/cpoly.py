@@ -112,23 +112,12 @@ class Poly(Record):
     polynomial is the empty tuple and ``degree`` equals ``len(coeffs) - 1``
     for everything else.
 
-    The public constructor converts every coefficient to complex and checks
-    that it is finite.  Poly's own arithmetic (``+``, ``-``, ``*``, ``scale``,
-    negation, ``derivative``) and the solver's kernels build complex tuples
-    already, so they go through ``_trusted``, which skips the conversion but
-    keeps the finiteness check and the strip: an overflow still raises the
-    same ValueError.
+    Every Poly is built by this constructor, the one place that converts each
+    coefficient to complex and checks that it is finite (ValueError if not).
     """
 
     def __init__(self, coeffs: tuple[complex, ...] = ()):
         object.__setattr__(self, "coeffs", _checked(tuple(map(complex, coeffs))))
-
-    @classmethod
-    def _trusted(cls, cs: tuple[complex, ...]) -> Poly:
-        """A Poly from a tuple of complex numbers (not converted)."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", _checked(cs))
-        return p
 
     @property
     def degree(self) -> int:
@@ -150,22 +139,22 @@ class Poly(Record):
         return max((abs(c) for c in self.coeffs), default=0.0)
 
     def __add__(self, other: Poly) -> Poly:
-        return Poly._trusted(_add(self.coeffs, other.coeffs))
+        return Poly(_add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> Poly:
-        return Poly._trusted(_neg(self.coeffs))
+        return Poly(_neg(self.coeffs))
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __mul__(self, other: Poly) -> Poly:
-        return Poly._trusted(_mul(self.coeffs, other.coeffs))
+        return Poly(_mul(self.coeffs, other.coeffs))
 
     def scale(self, s: complex) -> Poly:
-        return Poly._trusted(_scale(self.coeffs, s))
+        return Poly(_scale(self.coeffs, s))
 
     def derivative(self) -> Poly:
-        return Poly._trusted(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
+        return Poly(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
 
     def __call__(self, z: complex) -> complex:
         acc = 0j
@@ -184,8 +173,8 @@ def _checked(cs: tuple[complex, ...]) -> tuple[complex, ...]:
     return cs[:n]
 
 
-# Poly's arithmetic on bare coefficient tuples.  Each returns a raw tuple;
-# Poly._trusted, and the forcing side's lowering, pass it through _checked.
+# Poly's arithmetic on bare coefficient tuples.  Each returns a raw tuple,
+# which Poly's constructor, or the forcing side's lowering, checks.
 
 def _add(a: tuple, b: tuple) -> tuple:
     if len(a) < len(b):
@@ -306,7 +295,7 @@ class Factorization(Record):
             for _ in range(m):
                 acc = _checked(tuple(0j + a + b * nr
                                      for a, b in zip((0j,) + acc, acc + (0j,))))
-        return Poly._trusted(acc)
+        return Poly(acc)
 
     @classmethod
     def from_pairs(cls, pairs, leading: complex = 1.0) -> Factorization:
@@ -517,7 +506,7 @@ def find_roots(p: Poly) -> Factorization:
 def _find_roots(p: Poly) -> Factorization:
     lead = p.coeffs[-1]
     monic = tuple(c / lead for c in p.coeffs)
-    derivs = [Poly._trusted(monic)]
+    derivs = [Poly(monic)]
     derivs.append(derivs[0].derivative())
     roots = _aberth(monic, derivs[1])
     real_input = all(c.imag == 0.0 for c in p.coeffs)

@@ -96,7 +96,7 @@ def _kept(terms) -> tuple[tuple[complex, Poly], ...]:
     for lam, p in terms:
         cs = _cleaned(p.coeffs)
         if cs:
-            out.append((lam, p if cs is p.coeffs else Poly._trusted(cs)))
+            out.append((lam, p if cs is p.coeffs else Poly(cs)))
     return tuple(out)
 
 
@@ -204,7 +204,7 @@ class ExpPoly(Record):
         return ExpPoly(tuple((lam + c, p) for lam, p in self.terms))
 
     def derivative(self) -> ExpPoly:
-        return ExpPoly(tuple((lam, Poly._trusted(_derived(lam, p.coeffs)))
+        return ExpPoly(tuple((lam, _derived(lam, p.coeffs))
                              for lam, p in self.terms))
 
     def _inverse(self, factors) -> ExpPoly:
@@ -226,7 +226,7 @@ class ExpPoly(Record):
                         w[k] = above = (w[k] - (k + 1) * above) / (lam - r)
             for _ in range(resonance):
                 w = [0j] + [c / (k + 1) for k, c in enumerate(w)]
-            out.append((lam, Poly._trusted(tuple(w))))
+            out.append((lam, Poly(w)))  # checked before the next term's abs()
         return ExpPoly(tuple(out))
 
     def antiderivative(self) -> ExpPoly:

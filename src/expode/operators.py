@@ -82,7 +82,7 @@ def _taylor_applied(char: tuple, lam: complex, cs: tuple) -> tuple:
 
 
 class FactoredOp(Record):
-    """Product of (d/dx - root)^mult groups, applied left to right.
+    """Product of (d/dx - root)^mult groups, applied left to right as LinOps.
 
     ``factors`` keeps the given order, which tests permute (the result of
     applying the operator does not depend on it); ``pairs`` holds the same
@@ -116,7 +116,7 @@ class FactoredOp(Record):
     def apply(self, y: ExpPoly) -> ExpPoly:
         for r, m in self.factors:
             for _ in range(m):
-                y = y.derivative() - y.scale(r)
+                y = LinOp((-r,)).apply(y)
         return y
 
 

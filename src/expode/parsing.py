@@ -617,8 +617,7 @@ def lower_rhs(expr: Expr) -> ExpPoly:
     holds more than _MAX_COEFFS coefficients, at that product's operator.
     """
     try:
-        return ExpPoly(tuple((lam, Poly._trusted(cs))
-                             for lam, cs in _lower(expr).items()))
+        return ExpPoly(tuple(_lower(expr).items()))
     except (ValueError, OverflowError) as exc:
         # coefficient validation, e.g. products of huge constants reaching
         # inf, or a magnitude (abs) that leaves the double range

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from expode import (EXP_MERGE_TOL, ExpPoly, FactoredOp, HomogeneousSolution,
                     LinOp, NonConvergence, NotConjugateClosed, Poly, TrigForm,
                     VerifyReport, coeff_distance, monomial)
-from expode.cpoly import (_EPS, _MAX_SWEEPS, Factorization, _conjugate_pairs,
-                          _near, _start_points)
+from expode.cpoly import (_EPS, _MAX_SWEEPS, Factorization, _checked,
+                          _conjugate_pairs, _near, _start_points)
 from expode.exppoly import COEFF_CLEAN_REL, _conjugate_poly, _kept, _real_poly
 from expode.parsing import (_MAX_POWER, Bin, Call, Expr, Neg, Num,
                             ParseError, UnknownOnRhs, UnsupportedForm, VarX,
@@ -354,13 +354,13 @@ def antiderivative_reference(f: ExpPoly) -> ExpPoly:
     for lam, p in f.terms:
         if abs(lam) <= EXP_MERGE_TOL:
             shifted = (0j,) + tuple(c / (k + 1) for k, c in enumerate(p.coeffs))
-            out.append((lam, Poly._trusted(shifted)))
+            out.append((lam, Poly(shifted)))
         else:
             q = [0j] * len(p.coeffs)
             q[-1] = p.coeffs[-1] / lam
             for k in range(len(p.coeffs) - 2, -1, -1):
                 q[k] = (p.coeffs[k] - (k + 1) * q[k + 1]) / lam
-            out.append((lam, Poly._trusted(tuple(q))))
+            out.append((lam, Poly(tuple(q))))
     return trusted_reference(out)
 
 
@@ -381,7 +381,7 @@ def particular_reference(factored: FactoredOp, rhs: ExpPoly) -> ExpPoly:
         for _ in range(next((m for r, m in factored.factors
                              if abs(lam - r) <= EXP_MERGE_TOL), 0)):
             w = [0j] + [c / (k + 1) for k, c in enumerate(w)]
-        out.append((lam, Poly._trusted(tuple(w))))
+        out.append((lam, Poly(tuple(w))))
     return trusted_reference(out)
 
 
@@ -490,6 +490,16 @@ def verify_reference(op, f: ExpPoly, y: ExpPoly, points: int = 50,
     return VerifyReport(symbolic, worst)
 
 
+def poly_trusted_reference(cs: tuple) -> Poly:
+    """Poly._trusted, which built Poly's arithmetic results and the solver's
+    kernel polynomials from tuples of complex numbers, without the
+    constructor's conversion, before every Poly went through the
+    constructor."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "coeffs", _checked(cs))
+    return p
+
+
 def _cleaned_reference(p: Poly) -> Poly:
     """exppoly._cleaned as it was written before it ran on coefficient
     tuples."""
@@ -500,8 +510,8 @@ def _cleaned_reference(p: Poly) -> Poly:
     floor = COEFF_CLEAN_REL * top
     if min(mags) > floor:
         return p  # nothing to drop, not even a zero whose sign could change
-    return Poly._trusted(tuple(0j if m <= floor else c
-                               for c, m in zip(p.coeffs, mags)))
+    return Poly(tuple(0j if m <= floor else c
+                      for c, m in zip(p.coeffs, mags)))
 
 
 def trusted_reference(terms) -> ExpPoly:
@@ -548,7 +558,7 @@ def apply_reference(op, y: ExpPoly) -> ExpPoly:
         for t in reversed(taylor):
             acc = [t * c + (i + 1) * a for i, (c, a)
                    in enumerate(zip(p.coeffs, acc[1:] + [0j]))]
-        out.append((lam, Poly._trusted(tuple(acc))))
+        out.append((lam, Poly(tuple(acc))))
     return trusted_reference(out)
 
 

@@ -18,10 +18,11 @@ from expode import (
 import strategies
 from expode import cpoly
 from expode.cli import main
-from expode.cpoly import _aberth, _refined, _start_points
+from expode.cpoly import (_aberth, _add, _checked, _mul, _neg, _refined,
+                          _scale, _start_points)
 from strategies import (OP_GRID, aberth_reference, complex_coeffs,
-                        expand_reference, factored_ops, polys,
-                        refined_reference)
+                        edge_coeffs, expand_reference, factored_ops, outcome,
+                        poly_trusted_reference, polys, refined_reference)
 
 
 # ------------------------------------------------------------ arithmetic
@@ -32,6 +33,53 @@ def test_add_mul_eval():
     assert (p * q).coeffs == (1 + 0j, 0j, -1 + 0j)
     assert (p + q).coeffs == (2 + 0j,)
     assert (p * q)(2.0) == -3 + 0j
+
+
+def _expanded(fact: Factorization) -> tuple:
+    """The tuple that Factorization.expand builds its Poly from."""
+    acc = (fact.leading,)
+    for r, m in fact.pairs:
+        for _ in range(m):
+            acc = _checked(tuple(0j + a + b * -r
+                                 for a, b in zip((0j,) + acc, acc + (0j,))))
+    return acc
+
+
+_edge_polys = st.lists(edge_coeffs, max_size=4).map(lambda cs: Poly(tuple(cs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_edge_polys, q=_edge_polys, c=edge_coeffs,
+       pairs=st.lists(st.tuples(edge_coeffs, st.integers(1, 3)), max_size=3),
+       lead=edge_coeffs)
+# a product past the double range, and signed zeros in every slot
+@example(p=Poly((1e308, -0.0)), q=Poly((1e308j,)), c=1.5e308 + 0j,
+         pairs=[(1e308 + 0j, 2)], lead=1e308 + 0j)
+@example(p=Poly((complex(-0.0, 0.0), 1.0)), q=Poly((complex(0.0, -0.0), -1.0)),
+         c=complex(-0.0, -0.0), pairs=[(complex(0.0, -0.0), 3)],
+         lead=complex(2.0, -0.0))
+def test_results_are_built_by_the_constructor(p, q, c, pairs, lead):
+    # +, -, negation, *, scale, derivative and expand are Poly on the tuple
+    # their kernel forms: the same bits, or the same ValueError past the
+    # double range, as the constructor that skipped the conversion
+    cases = [
+        (lambda: p + q, lambda: _add(p.coeffs, q.coeffs)),
+        (lambda: p - q, lambda: _add(p.coeffs, _neg(q.coeffs))),
+        (lambda: -p, lambda: _neg(p.coeffs)),
+        (lambda: p * q, lambda: _mul(p.coeffs, q.coeffs)),
+        (lambda: p.scale(c), lambda: _scale(p.coeffs, c)),
+        (p.derivative, lambda: tuple(k * a for k, a in enumerate(p.coeffs))[1:]),
+    ]
+    try:
+        fact = Factorization(tuple(pairs), lead)
+    except ValueError:
+        pass
+    else:
+        cases.append((fact.expand, lambda: _expanded(fact)))
+    for result, kernel in cases:
+        got = outcome(result)
+        assert got == outcome(lambda: Poly(kernel()))
+        assert got == outcome(lambda: poly_trusted_reference(kernel()))
 
 
 def test_sub_and_neg():
@@ -225,7 +273,7 @@ def _aberth_outcome(aberth, p: Poly) -> str:
     makes it, or of the exception it raises."""
     monic = tuple(c / p.coeffs[-1] for c in p.coeffs)
     try:
-        return repr(aberth(monic, Poly._trusted(monic).derivative()))
+        return repr(aberth(monic, Poly(monic).derivative()))
     except (NonConvergence, OverflowError, ValueError) as exc:
         return repr(exc)
 
@@ -245,7 +293,7 @@ def _flat_start_poly() -> Poly:
     z0 = _start_points((1 + 0j, 0j, 0j, 0j, 1 + 0j))[0]
     head = (1 + 0j, 0j, -0.6 * z0 * z0, -0.9 * z0, 1 + 0j)
     dp = 0j
-    for c in Poly._trusted(head).derivative().coeffs[:0:-1]:
+    for c in Poly(head).derivative().coeffs[:0:-1]:
         dp = dp * z0 + c
     p = Poly((1, -(dp * z0)) + head[2:])
     assert _start_points(p.coeffs)[0] == z0
@@ -306,7 +354,7 @@ def _refine_inputs(draw):
     coeffs = draw(st.lists(_wide_complex | complex_coeffs, min_size=2,
                            max_size=9))
     try:
-        monic = Poly._trusted(tuple(c / lead for c in coeffs + [lead])).coeffs
+        monic = Poly(tuple(c / lead for c in coeffs + [lead])).coeffs
     except (ValueError, ZeroDivisionError):
         assume(False)
     mult = draw(st.integers(1, len(monic) - 1))
@@ -322,7 +370,7 @@ def test_refined_matches_reference_bits(inputs):
     # the first example, P' = q' has the coefficient 2e308; in the second,
     # P' = 2r vanishes at the start, which ends the iteration at once)
     monic, centroid, mult, cut = inputs
-    ours, theirs = [Poly._trusted(monic)], [Poly._trusted(monic)]
+    ours, theirs = [Poly(monic)], [Poly(monic)]
     got = _outcome(_refined, ours, centroid, mult, cut)
     assert got == _outcome(refined_reference, theirs, centroid, mult, cut)
     assert ours == theirs

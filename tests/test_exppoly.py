@@ -333,6 +333,15 @@ def test_antiderivative_matches_reference_bits(f):
     assert repr(f.antiderivative()) == repr(antiderivative_reference(f))
 
 
+def test_inverse_checks_each_term_as_it_is_formed():
+    # the first term's w overflows to inf and the second's |lam| is past the
+    # double range: the first term's ValueError comes before abs() raises
+    f = ExpPoly(((1e-8, Poly((1e308,))), (1.5e308 + 1.5e308j, Poly((1.0,)))))
+    want = ("ValueError", "polynomial coefficients must be finite")
+    assert outcome(f.antiderivative) == want
+    assert outcome(antiderivative_reference, f) == want
+
+
 @given(f=exppolys, g=exppolys, a=complex_coeffs, b=complex_coeffs)
 def test_antiderivative_linearity(f, g, a, b):
     lhs = (f.scale(a) + g.scale(b)).antiderivative()

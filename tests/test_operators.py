@@ -1,5 +1,8 @@
 """Differential operators: coefficient and factored forms."""
 
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,9 @@ from strategies import (apply_reference, edge_exppolys, edge_linops,
                         ep_close, exppolys, factored_ops,
                         homogeneous_reference, outcome,
                         real_homogeneous_walk_reference)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import exact  # noqa: E402
 
 
 # ----------------------------------------------------------- coefficients
@@ -143,6 +149,34 @@ def test_apply_matches_reference_bits(op, y):
     # both, where every term is checked before any is cleaned, so the
     # second term's ValueError wins
     assert outcome(op.apply, y) == outcome(apply_reference, op, y)
+
+
+# Gaussian dyadics: on these roots, exponents and small Gaussian integer
+# coefficients every double product and sum below is exact
+_DYADICS = (0j, 1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j, 1j, -1j, 1 + 1j, 1 - 1j,
+            0.5 + 0j, -0.5 + 0j)
+_small_ints = st.integers(-4, 4)
+_small_coeffs = st.builds(complex, _small_ints, _small_ints).filter(
+    lambda c: abs(c) <= 4)
+_dyadic_exppolys = st.lists(
+    st.tuples(st.sampled_from(_DYADICS),
+              st.lists(_small_coeffs, min_size=1, max_size=4).map(Poly)),
+    max_size=3).map(lambda terms: ExpPoly(tuple(terms)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.sampled_from(_DYADICS), st.integers(1, 2)),
+                      min_size=1, max_size=3, unique_by=lambda rm: rm[0]),
+       y=_dyadic_exppolys, data=st.data())
+def test_one_evaluator_is_exact_on_dyadics(pairs, y, data):
+    # LinOp.apply, and FactoredOp.apply in any factor order, run the one
+    # kernel: on exact inputs both give the exact L[y], not just a close one
+    a = exact.poly_from_roots(pairs)
+    want = exact.apply(a, exact.EP.from_program(y)).terms
+    op = LinOp.from_char_poly(Poly(tuple(map(complex, a))))
+    assert exact.EP.from_program(op.apply(y)).terms == want
+    fac = FactoredOp(tuple(data.draw(st.permutations(pairs))))
+    assert exact.EP.from_program(fac.apply(y)).terms == want
 
 
 @settings(max_examples=60, deadline=None)
